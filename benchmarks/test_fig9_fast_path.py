@@ -1,19 +1,17 @@
 """Fast Newton path layers on the Fig. 9 SRAM SNM workload (PR 9).
 
-Decomposes the fast path into its three layers and times each against
-its fallback on the same 400-sample READ-SNM Monte-Carlo:
+Times two layers of the fast path against their fallbacks:
 
 * **coalescing** — sharded serial with cross-shard batching vs the same
-  shard plan solved shard by shard;
-* **specialized kernels** — the emitted flat assembly kernel vs the
-  interpreted per-group loop (``REPRO_KERNELS=0``);
+  shard plan solved shard by shard, on the same 400-sample READ-SNM
+  Monte-Carlo;
 * **analytic derivatives** — a device-level microbenchmark of
   ``ids_and_derivatives`` in analytic vs stacked finite-difference mode
   on the fig9-shaped ``(400, 6)`` stacked-device batch.
 
-Every configuration is asserted bit-identical to the default fast path
-(the layers are constant-factor optimizations, never approximations),
-and the ratios land in ``BENCH_fig9_fast_path.json``.
+Both Monte-Carlo configurations are asserted bit-identical (the layers
+are constant-factor optimizations, never approximations), and the
+ratios land in ``BENCH_fig9_fast_path.json``.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ import time
 
 import numpy as np
 
-import repro.runtime.tasks as tasks_mod
 from repro.api import Execution, Session
 from repro.cells.sram import SRAMSpec
 from repro.data.cards import vs_nmos_40nm
@@ -35,23 +32,14 @@ SHARD_SIZE = 50
 N_DEVICES = 6  # stacked MOSFETs per forced butterfly half-cell
 
 
-def _timed_map(session, work, execution, env=None, monkeypatch=None):
-    if env and monkeypatch is not None:
-        for key, value in env.items():
-            monkeypatch.setenv(key, value)
-    tasks_mod._PROCESS_PLAN_CACHE = None
-    try:
-        # Warm run (plan compiles, allocator) outside the timed window.
-        session.map_mc(work, SHARD_SIZE, model="vs", seed_offset=71,
-                       execution=execution)
-        start = time.perf_counter()
-        values, _ = session.map_mc(work, N_SAMPLES, model="vs",
-                                   seed_offset=70, execution=execution)
-        return np.asarray(values), time.perf_counter() - start
-    finally:
-        if env and monkeypatch is not None:
-            monkeypatch.undo()
-        tasks_mod._PROCESS_PLAN_CACHE = None
+def _timed_map(session, work, execution):
+    # Warm run (plan compiles, allocator) outside the timed window.
+    session.map_mc(work, SHARD_SIZE, model="vs", seed_offset=71,
+                   execution=execution)
+    start = time.perf_counter()
+    values, _ = session.map_mc(work, N_SAMPLES, model="vs",
+                               seed_offset=70, execution=execution)
+    return np.asarray(values), time.perf_counter() - start
 
 
 def _device_eval_rate(derivatives: str, repeats: int = 40) -> float:
@@ -72,7 +60,7 @@ def _device_eval_rate(derivatives: str, repeats: int = 40) -> float:
     return repeats / (time.perf_counter() - start)
 
 
-def test_fig9_fast_path_layers(results_dir, record_report, monkeypatch):
+def test_fig9_fast_path_layers(results_dir, record_report):
     session = Session()
     work = SNMWork(SRAMSpec(), session.technology.vdd, "read")
     sharded = Execution(shard_size=SHARD_SIZE, workers=1)
@@ -82,14 +70,9 @@ def test_fig9_fast_path_layers(results_dir, record_report, monkeypatch):
         session, work,
         Execution(shard_size=SHARD_SIZE, workers=1, coalesce=False),
     )
-    interpreted, t_interpreted = _timed_map(
-        session, work, sharded,
-        env={"REPRO_KERNELS": "0"}, monkeypatch=monkeypatch,
-    )
 
-    # The layers are exact: every fallback produces the same bits.
+    # The layer is exact: the fallback produces the same bits.
     np.testing.assert_array_equal(fast, uncoalesced)
-    np.testing.assert_array_equal(fast, interpreted)
 
     analytic_rate = _device_eval_rate("analytic")
     fd_rate = _device_eval_rate("fd")
@@ -101,10 +84,8 @@ def test_fig9_fast_path_layers(results_dir, record_report, monkeypatch):
         "samples_per_sec": {
             "fast_path": N_SAMPLES / t_fast,
             "uncoalesced": N_SAMPLES / t_uncoalesced,
-            "interpreted_assembly": N_SAMPLES / t_interpreted,
         },
         "coalescing_speedup": t_uncoalesced / t_fast,
-        "kernel_speedup": t_interpreted / t_fast,
         "device_grad_evals_per_sec": {
             "analytic": analytic_rate,
             "fd": fd_rate,
@@ -118,14 +99,11 @@ def test_fig9_fast_path_layers(results_dir, record_report, monkeypatch):
 
     lines = [
         f"fig9 fast-path layers ({N_SAMPLES} MC, shard {SHARD_SIZE})",
-        f"fast path (coalesced, kernels)   {t_fast:7.2f} s  "
+        f"fast path (coalesced)            {t_fast:7.2f} s  "
         f"{N_SAMPLES / t_fast:8.1f} samples/s",
         f"  without coalescing             {t_uncoalesced:7.2f} s  "
         f"{N_SAMPLES / t_uncoalesced:8.1f} samples/s  "
         f"({record['coalescing_speedup']:.2f}x layer gain)",
-        f"  interpreted assembly           {t_interpreted:7.2f} s  "
-        f"{N_SAMPLES / t_interpreted:8.1f} samples/s  "
-        f"({record['kernel_speedup']:.2f}x layer gain)",
         f"analytic vs FD device gradients: "
         f"{record['analytic_over_fd']:.2f}x "
         f"({analytic_rate:.0f} vs {fd_rate:.0f} stacked evals/s)",

@@ -207,7 +207,7 @@ def main(argv=None) -> int:
         help="parallel workers for statistical Monte-Carlo.  Any "
              "explicit value — including 1 — engages the sharded "
              "runtime, whose output is bit-identical at every worker "
-             "count; omit the flag entirely for the legacy unsharded "
+             "count; omit the flag entirely for the unsharded legacy "
              "stream the golden figures pin",
     )
     parser.add_argument(

@@ -68,7 +68,7 @@ class RunSnapshot:
 
     progress: Progress
     #: Accumulator snapshot at the same boundary (None before the first
-    #: wave and for monolithic unsharded runs).
+    #: wave and for runs without streamed state, e.g. circuit specs).
     partial: Optional[Dict[str, Any]]
 
 
@@ -203,8 +203,8 @@ class RunHandle(RunObserver):
     def partial(self) -> Optional[Dict[str, Any]]:
         """Snapshot of the streamed accumulator state so far.
 
-        ``None`` until the first wave lands (and always for monolithic
-        unsharded runs, which have no streaming state to snapshot).
+        ``None`` until the first wave lands (and always for runs with
+        no streaming state to snapshot, e.g. circuit specs).
         Sweeps expose ``"points"`` — the completed per-point results;
         statistical runs expose streamed ``"means"``/``"sigmas"`` and
         the raw accumulator ``"state"``.

@@ -22,12 +22,12 @@ level misses (a fresh per-shard circuit, say), the circuit's
 element types + model class/polarity/temperature, never parameter
 values — is looked up in a cache of value-free
 :class:`~repro.circuit.compiled.PlanStructure` objects.  A structural
-hit skips index bookkeeping and kernel emission entirely and only
-*binds* the circuit's values, which is what kills the per-shard
-recompile storm: a sharded run performs one structure compile per
-distinct circuit topology, not one per shard.  Structures are
-value-free and hold no circuit references, so the structural level
-needs no weakref ceremony — just a bounded LRU.
+hit skips index bookkeeping entirely and only *binds* the circuit's
+values, which is what kills the per-shard recompile storm: a sharded
+run performs one structure compile per distinct circuit topology, not
+one per shard.  Structures are value-free and hold no circuit
+references, so the structural level needs no weakref ceremony — just a
+bounded LRU.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ _STRUCT_HITS = _REGISTRY.counter(
     "Structural plan-cache hits (value binding only, no compile)")
 _STRUCT_COMPILES = _REGISTRY.counter(
     "repro_plan_cache_structural_compiles_total",
-    "Structural plan compilations (index bookkeeping + kernel emission)")
+    "Structural plan compilations (index bookkeeping + scatter programs)")
 _COMPILE_SECONDS = _REGISTRY.histogram(
     "repro_plan_compile_seconds", "Circuit plan compilation latency")
 
@@ -79,7 +79,7 @@ class PlanCache:
         self.maxsize = maxsize
         self._entries: "OrderedDict[int, _Entry]" = OrderedDict()
         # Structural level: fingerprint tuple -> PlanStructure.  Small
-        # (value-free index arrays + one exec'd function), so the same
+        # (value-free index arrays and scatter programs), so the same
         # maxsize bound is generous.
         self._structures: "OrderedDict[tuple, object]" = OrderedDict()
         # Concurrent Session.submit() handles share one session cache
@@ -128,8 +128,9 @@ class PlanCache:
             structural_fingerprint,
         )
 
-        # Structural level: same topology -> reuse the index bookkeeping
-        # and specialized kernel, only bind this circuit's values.
+        # Structural level: same topology -> reuse the index bookkeeping,
+        # only bind this circuit's values.  Every miss counts exactly one
+        # structural hit or compile, under the lock like every counter.
         skey = structural_fingerprint(circuit)
         structure = None
         if skey is not None:
@@ -137,9 +138,9 @@ class PlanCache:
                 structure = self._structures.get(skey)
                 if structure is not None:
                     self._structures.move_to_end(skey)
+                    self.structural_hits += 1
 
         if structure is not None:
-            self.structural_hits += 1
             _STRUCT_HITS.inc()
             plan = compile_circuit(circuit, structure)
         else:
@@ -162,10 +163,10 @@ class PlanCache:
                     plan = compile_circuit(circuit)
                 sp.set(compiled=plan is not None)
             _COMPILE_SECONDS.observe(time.perf_counter() - compile_start)
-            self.structural_compiles += 1
             _STRUCT_COMPILES.inc()
-            if skey is not None and structure is not None:
-                with self._lock:
+            with self._lock:
+                self.structural_compiles += 1
+                if skey is not None and structure is not None:
                     self._structures[skey] = structure
                     self._structures.move_to_end(skey)
                     while len(self._structures) > self.maxsize:
@@ -190,11 +191,12 @@ class PlanCache:
 
     def stats(self) -> dict:
         """Hit/miss counters and current size (for result metadata)."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "size": len(self),
-            "structural_hits": self.structural_hits,
-            "structural_compiles": self.structural_compiles,
-            "structures": len(self._structures),
-        }
+        with self._lock:
+            return {
+                "hits": self.hits,
+                "misses": self.misses,
+                "size": len(self),
+                "structural_hits": self.structural_hits,
+                "structural_compiles": self.structural_compiles,
+                "structures": len(self._structures),
+            }

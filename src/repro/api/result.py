@@ -80,7 +80,8 @@ class Result:
     #: Shard/worker execution metadata when the run went through the
     #: parallel runtime (a :class:`repro.runtime.RuntimeInfo`): executor
     #: kind, worker count, shard partition, shards actually run, early
-    #: stopping, checkpoint resume.  ``None`` for unsharded runs.
+    #: stopping, checkpoint resume.  ``None`` for circuit specs and the
+    #: serial characterization walk, which bypass the runtime.
     runtime: Optional[Any] = None
     #: Free-form extras (plan-cache statistics, engine diagnostics...).
     meta: Dict[str, Any] = field(default_factory=dict)

@@ -45,13 +45,15 @@ class SeedScope:
     spec whose base seed is *base_seed* (session root + spec
     ``seed_offset``) on the streams::
 
-        serial draw   SeedSequence(base_seed, spawn_key=(j,))
+        unsharded     SeedSequence(base_seed, spawn_key=(j,))
         shard i       SeedSequence(base_seed, spawn_key=(j, i))
 
     The scope replaces the spec's own integer ``seed_offset`` resolution
     entirely — the offset is already folded into ``base_seed`` — so the
     stream is a pure function of ``(base_seed, spawn_key)`` and never of
-    worker count, shard completion order, or sweep scheduling.
+    worker count, shard completion order, or sweep scheduling.  The
+    runtime's shard plans draw both streams (``spawn_key`` is their
+    spawn prefix).
     """
 
     base_seed: int
@@ -62,14 +64,6 @@ class SeedScope:
         object.__setattr__(
             self, "spawn_key", tuple(int(k) for k in self.spawn_key)
         )
-
-    def sequence(self) -> np.random.SeedSequence:
-        """The scope's `SeedSequence` (for unsharded single-stream draws)."""
-        return np.random.SeedSequence(self.base_seed, spawn_key=self.spawn_key)
-
-    def rng(self) -> np.random.Generator:
-        """Fresh generator for the scope's single-stream draw."""
-        return np.random.Generator(np.random.PCG64(self.sequence()))
 
 
 class SeedTree:

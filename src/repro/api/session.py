@@ -214,12 +214,12 @@ class Session:
     def default_execution(self) -> Optional[Execution]:
         """The execution options statistical runs inherit from the session.
 
-        ``None`` on a plain default session — the legacy unsharded path
-        the golden figures pin.  Sessions constructed with an explicit
-        executor (any worker count: ``--workers 1`` must draw the same
-        stream as ``--workers 2``) or a shard size hand every
-        statistical run a matching :class:`Execution` (still
-        overridable per spec).
+        ``None`` on a plain default session — the unsharded one-shard
+        plan drawing the legacy stream the golden figures pin.  Sessions
+        constructed with an explicit executor (any worker count:
+        ``--workers 1`` must draw the same stream as ``--workers 2``) or
+        a shard size hand every statistical run a matching
+        :class:`Execution` (still overridable per spec).
         """
         if self._executor_supplied or self.shard_size is not None:
             return Execution(
@@ -306,21 +306,17 @@ class Session:
             return scope.base_seed, scope.spawn_key
         return self.seeds.seed(seed_offset), ()
 
-    def _serial_rng(
-        self, seed_offset: int, scope: Optional[SeedScope]
-    ) -> np.random.Generator:
-        """The unsharded single-stream generator of a statistical run."""
-        return scope.rng() if scope is not None else self.rng(seed_offset)
-
     def _runtime_args(
-        self, execution: Execution, n_samples: int, seed_offset: int,
-        stop_metric: str, scope: Optional[SeedScope] = None,
-        observer=None,
+        self, execution: Optional[Execution], n_samples: int,
+        seed_offset: int, stop_metric: str,
+        scope: Optional[SeedScope] = None, observer=None,
     ) -> dict:
         """The shared plan/executor/stopping kwargs of every runtime run.
 
         One home for the dispatch plumbing so the Monte-Carlo,
         importance-sampling and factory-map paths cannot drift apart.
+        ``execution=None`` is the unsharded plan: one serial shard on
+        the legacy stream, without stopping or checkpointing.
         """
         from repro.runtime import plan_for_execution, stop_rule_for_execution
 
@@ -331,8 +327,8 @@ class Session:
             ),
             "executor": self.executor_for(execution),
             "stop": stop_rule_for_execution(execution, stop_metric),
-            "wave_size": execution.wave_size,
-            "checkpoint_path": execution.checkpoint,
+            "wave_size": getattr(execution, "wave_size", None),
+            "checkpoint_path": getattr(execution, "checkpoint", None),
             "observer": observer,
         }
 
@@ -473,8 +469,9 @@ class Session:
         """Merge the run's telemetry digest into ``result.runtime``.
 
         Only runtime-routed envelopes (``runtime`` not ``None``) can
-        carry telemetry; legacy unsharded runs expose it through the
-        live :attr:`tracer`/:attr:`metrics` objects instead.  The digest
+        carry telemetry; circuit specs and the serial sweep and
+        characterization walks expose it through the live
+        :attr:`tracer`/:attr:`metrics` objects instead.  The digest
         lives *inside* ``RuntimeInfo`` — never in ``meta`` — because
         ``scrub_envelope`` nulls ``runtime`` wholesale, which is what
         keeps telemetry-on and telemetry-off envelopes comparable.
@@ -604,104 +601,71 @@ class Session:
 
     def _run_montecarlo(self, spec: MonteCarlo, scope=None, observer=None,
                         inherit_execution: bool = True) -> Result:
-        from repro.stats.montecarlo import target_samples
+        from repro.runtime import run_target_samples
 
         char = self.technology[spec.polarity]
-        execution = self._spec_execution(spec, inherit_execution)
-        base_seed, _ = self._seed_basis(spec.seed_offset, scope)
         start = time.perf_counter()
-        if execution is None:
-            payload = target_samples(
-                char,
-                spec.model,
-                spec.w_nm,
-                spec.l_nm,
-                self.technology.vdd,
-                spec.n_samples,
-                self._serial_rng(spec.seed_offset, scope),
-            )
-            info = None
-            meta = {}
-        else:
-            from repro.runtime import run_target_samples
-
-            args = self._runtime_args(
-                execution, spec.n_samples, spec.seed_offset, "sigma",
-                scope=scope, observer=observer,
-            )
-            payload, accumulator, info = run_target_samples(
-                char,
-                spec.model,
-                spec.w_nm,
-                spec.l_nm,
-                self.technology.vdd,
-                args.pop("plan"),
-                args.pop("executor"),
-                **args,
-            )
-            meta = {"streamed_sigmas": {
-                t: s.std() for t, s in accumulator.stats.items()
-            }}
+        args = self._runtime_args(
+            self._spec_execution(spec, inherit_execution), spec.n_samples,
+            spec.seed_offset, "sigma", scope=scope, observer=observer,
+        )
+        payload, accumulator, info = run_target_samples(
+            char,
+            spec.model,
+            spec.w_nm,
+            spec.l_nm,
+            self.technology.vdd,
+            args.pop("plan"),
+            args.pop("executor"),
+            **args,
+        )
         elapsed = time.perf_counter() - start
         return Result(
             payload=payload,
             spec=spec,
             backend="device",
-            seed=base_seed,
-            n_samples=spec.n_samples if info is None else info.n_samples,
+            seed=info.base_seed,
+            n_samples=info.n_samples,
             wall_time_s=elapsed,
             runtime=info,
-            meta={**meta, **self._scope_meta(scope)},
+            meta={
+                "streamed_sigmas": {
+                    t: s.std() for t, s in accumulator.stats.items()
+                },
+                **self._scope_meta(scope),
+            },
         )
 
     def _run_importance(self, spec: ImportanceSampling, scope=None,
                         observer=None,
                         inherit_execution: bool = True) -> Result:
-        from repro.stats.importance import estimate_failure_probability
+        from repro.runtime import run_importance
 
         model = self.technology[spec.polarity].statistical
-        execution = self._spec_execution(spec, inherit_execution)
-        base_seed, _ = self._seed_basis(spec.seed_offset, scope)
         start = time.perf_counter()
-        if execution is None:
-            payload = estimate_failure_probability(
-                model,
-                spec.metric,
-                spec.threshold,
-                spec.shifts_dict(),
-                spec.n_samples,
-                self._serial_rng(spec.seed_offset, scope),
-                w_nm=spec.w_nm,
-                l_nm=spec.l_nm,
-                fail_below=spec.fail_below,
-            )
-            info = None
-        else:
-            from repro.runtime import run_importance
-
-            args = self._runtime_args(
-                execution, spec.n_samples, spec.seed_offset, "probability",
-                scope=scope, observer=observer,
-            )
-            payload, _, info = run_importance(
-                model,
-                spec.metric,
-                spec.threshold,
-                spec.shifts_dict(),
-                args.pop("plan"),
-                args.pop("executor"),
-                w_nm=spec.w_nm,
-                l_nm=spec.l_nm,
-                fail_below=spec.fail_below,
-                **args,
-            )
+        args = self._runtime_args(
+            self._spec_execution(spec, inherit_execution), spec.n_samples,
+            spec.seed_offset, "probability", scope=scope, observer=observer,
+        )
+        payload, _, info = run_importance(
+            model,
+            spec.metric,
+            spec.threshold,
+            spec.shifts_dict(),
+            args.pop("plan"),
+            args.pop("executor"),
+            w_nm=spec.w_nm,
+            l_nm=spec.l_nm,
+            fail_below=spec.fail_below,
+            **args,
+        )
         elapsed = time.perf_counter() - start
         return Result(
             payload=payload,
             spec=spec,
             backend="device",
-            seed=base_seed,
-            n_samples=spec.n_samples if info is None else info.n_samples,
+            seed=info.base_seed,
+            n_samples=info.n_samples,
             wall_time_s=elapsed,
             runtime=info,
             meta=self._scope_meta(scope),
@@ -711,8 +675,8 @@ class Session:
                    inherit_execution: bool = True) -> Result:
         """Adaptive CE importance sampling (the rare-event yield engine).
 
-        There is no legacy unsharded path: the engine always draws in
-        the spec's fixed blocks, so ``execution=None`` simply runs the
+        There is no unsharded plan: the engine always draws in the
+        spec's fixed blocks, so ``execution=None`` simply runs the
         block plan serially without stopping or checkpointing — the
         envelope is a pure function of the seed basis and the spec,
         never of workers or ``execution.shard_size``.
@@ -763,58 +727,41 @@ class Session:
                          inherit_execution: bool = True) -> Result:
         """Circuit-level ``work(factory)`` Monte-Carlo as a spec run.
 
-        The payload is the raw ``(n, ...)`` metric array; the serial
-        path is the exact legacy single-factory draw the hand-rolled
-        experiment loops used (``Session.map_mc`` delegates here).
+        The payload is the raw ``(n, ...)`` metric array; the unsharded
+        plan (``execution=None``) is the exact legacy single-factory
+        draw the hand-rolled experiment loops used (``Session.map_mc``
+        delegates here).  In-process shards compile their circuits into
+        the session's :attr:`plan_cache`.
         """
+        from repro.runtime import run_factory_map
+
         execution = self._spec_execution(spec, inherit_execution)
-        base_seed, _ = self._seed_basis(spec.seed_offset, scope)
         start = time.perf_counter()
-        meta = {}
-        if execution is None:
-            from repro.cells.factory import MonteCarloDeviceFactory
-
-            factory = self._equip(MonteCarloDeviceFactory(
-                self.technology, spec.n_samples,
-                rng=self._serial_rng(spec.seed_offset, scope),
-                model=spec.model,
-            ))
-            payload = np.asarray(spec.work(factory))
-            if payload.ndim < 1 or payload.shape[0] != spec.n_samples:
-                raise TypeError(
-                    "factory-map work must return an array with the "
-                    f"Monte-Carlo axis first; got shape {payload.shape} "
-                    f"for a {spec.n_samples}-sample run"
-                )
-            info = None
-        else:
-            from repro.runtime import run_factory_map
-
-            args = self._runtime_args(
-                execution, spec.n_samples, spec.seed_offset, "sigma",
-                scope=scope, observer=observer,
-            )
-            payload, accumulator, info = run_factory_map(
-                self.technology,
-                spec.work,
-                args.pop("plan"),
-                args.pop("executor"),
-                model=spec.model,
-                backend=None if self.backend == "auto" else self.backend,
-                coalesce=getattr(execution, "coalesce", True),
-                **args,
-            )
-            meta = {"finite_rows": accumulator.rows}
+        args = self._runtime_args(
+            execution, spec.n_samples, spec.seed_offset, "sigma",
+            scope=scope, observer=observer,
+        )
+        payload, accumulator, info = run_factory_map(
+            self.technology,
+            spec.work,
+            args.pop("plan"),
+            args.pop("executor"),
+            model=spec.model,
+            backend=None if self.backend == "auto" else self.backend,
+            coalesce=getattr(execution, "coalesce", True),
+            plan_cache=self.plan_cache,
+            **args,
+        )
         elapsed = time.perf_counter() - start
         return Result(
             payload=payload,
             spec=spec,
             backend=self.backend,
-            seed=base_seed,
-            n_samples=spec.n_samples if info is None else info.n_samples,
+            seed=info.base_seed,
+            n_samples=info.n_samples,
             wall_time_s=elapsed,
             runtime=info,
-            meta={**meta, **self._scope_meta(scope)},
+            meta={"finite_rows": accumulator.rows, **self._scope_meta(scope)},
         )
 
     def _run_characterize(self, spec, scope=None, observer=None,
@@ -892,7 +839,7 @@ class Session:
         model: str = "vs",
         seed_offset: int = 0,
         execution: Optional[Execution] = None,
-    ) -> Tuple[np.ndarray, Optional[object]]:
+    ) -> Tuple[np.ndarray, object]:
         """Run ``work(factory) -> (n, ...) array`` over Monte-Carlo samples.
 
         The workhorse of the circuit-level experiments (SRAM SNM, gate
@@ -901,15 +848,17 @@ class Session:
 
         With *execution* (or a session default) engaged, the run is
         sharded per the shard/seed contract — *work* must then be
-        picklable (a module-level function or frozen dataclass), and each
-        shard gets its own factory seeded from the shard stream.  With
-        ``execution=None`` on a serial session, this is exactly the
-        legacy single-factory draw (bit-identical to pre-runtime code).
+        picklable for a process pool (a module-level function or frozen
+        dataclass), and each shard gets its own factory seeded from the
+        shard stream.  ``execution=None`` on a serial session runs the
+        unsharded plan: one shard on the serial executor whose factory
+        draws the legacy single stream (bit-identical to pre-runtime
+        code).
 
         The declarative twin is ``session.run(FactoryMap(...))`` — this
         method delegates to the same engine and unwraps the envelope.
 
-        Returns ``(values, RuntimeInfo-or-None)``.
+        Returns ``(values, RuntimeInfo)``.
         """
         result = self._execute(FactoryMap(
             work=work, n_samples=n_samples, model=model,
@@ -943,7 +892,7 @@ class Session:
         # Runtime-aware experiments (those accepting an ``execution``
         # keyword) inherit the session's parallelism unless the caller
         # pinned their own; a plain serial session injects None, which
-        # is the legacy unsharded path.
+        # is the unsharded plan.
         if "execution" not in kwargs and (
             "execution" in inspect.signature(defn.func).parameters
         ):

@@ -65,13 +65,14 @@ def _check_backend(backend: Optional[str]) -> None:
 class Execution:
     """How a statistical spec runs: sharding, workers, adaptive stopping.
 
-    Attaching an ``Execution`` to a :class:`MonteCarlo` or
-    :class:`ImportanceSampling` spec routes the run through the
-    :mod:`repro.runtime` subsystem.  The output then depends only on the
+    Attaching an ``Execution`` to a :class:`MonteCarlo`,
+    :class:`ImportanceSampling` or :class:`FactoryMap` spec shards its
+    run on :mod:`repro.runtime`.  The output then depends only on the
     session seed, the spec's ``seed_offset`` and the shard partition —
     **never** on ``workers`` (ROADMAP "Conventions (PR 3)": the
-    shard/seed contract).  ``execution=None`` keeps the historical
-    single-stream draw the golden figures are pinned to.
+    shard/seed contract).  ``execution=None`` runs the same runner on
+    the unsharded plan: one shard on the serial executor drawing the
+    historical single stream the golden figures are pinned to.
 
     Parameters
     ----------
@@ -290,7 +291,7 @@ class MonteCarlo(AnalysisSpec):
     #: Stream offset in the session's seed tree.
     seed_offset: int = 0
     #: Sharding/parallelism/stopping options; ``None`` = session default
-    #: (the legacy unsharded single-stream draw on a serial session).
+    #: (the unsharded one-shard plan on a serial session).
     execution: Optional[Execution] = field(default=None, kw_only=True)
 
     def __post_init__(self):

@@ -18,8 +18,8 @@ the netlist once:
   device whose parameter card holds arrays of shape ``batch + (n_dev,)``.
   One model evaluation per Newton iteration computes every transistor of
   the circuit across every Monte-Carlo sample; the results are scattered
-  into the Jacobian/residual with precomputed flat index arrays
-  (``np.add.at`` handles coincident entries).
+  into the Jacobian/residual with precomputed duplicate-free scatter
+  rounds that replay ``np.add.at`` on coincident entries bit for bit.
 * **Capacitors** are likewise grouped; their constant charge Jacobian is
   folded into the per-step companion base matrix.
 
@@ -30,23 +30,18 @@ the solve, so no masking appears in the hot loop.
 Compilation is split in two (PR 9):
 
 * A :class:`PlanStructure` is the **value-free** part — element
-  classification, per-group index arrays, and the specialized numpy
-  assembly kernel emitted by :mod:`repro.codegen.kernels`.  It depends
-  only on the circuit's *structural fingerprint*
+  classification plus per-group index arrays and scatter programs.  It
+  depends only on the circuit's *structural fingerprint*
   (:func:`structural_fingerprint`: topology + element types + model
   class/polarity/temperature, never parameter values or batch shapes),
   so every per-shard circuit a factory stamps out shares one structure.
 * A :class:`CompiledCircuit` **binds** a structure to one circuit's
   values: stacked device cards, the constant conductance matrix, the
-  linear charge Jacobian.  Binding is cheap — no index bookkeeping, no
-  ``exec``.
+  linear charge Jacobian.  Binding is cheap — no index bookkeeping.
 
 Sample-for-sample the arithmetic is elementwise, so a batched solve
 reproduces the scalar (``batch = ()``) solve of each sample exactly —
-the property ``tests/test_batched_circuit.py`` locks in.  The emitted
-kernel replays the interpreted path's stamp order operation for
-operation, so kernel and non-kernel assemblies are bitwise identical
-too.
+the property ``tests/test_batched_circuit.py`` locks in.
 """
 
 from __future__ import annotations
@@ -132,20 +127,8 @@ def _stack_devices(models):
     return stacked
 
 
-def _scatter_add(target: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
-    """``target[..., idx] += values`` with accumulation on repeated indices.
-
-    *target* has shape ``batch + (M,)``; *values* broadcasts to
-    ``batch + (K,)`` with ``idx`` of shape ``(K,)``.
-    """
-    values = np.broadcast_to(values, target.shape[:-1] + idx.shape)
-    flat_t = target.reshape(-1, target.shape[-1])
-    flat_v = values.reshape(-1, idx.shape[0])
-    np.add.at(flat_t, (slice(None), idx), flat_v)
-
-
 def _scatter_program(idx: np.ndarray) -> tuple:
-    """Duplicate-free rounds replaying :func:`_scatter_add` bit for bit.
+    """Duplicate-free rounds replaying ``np.add.at(target, idx, values)``.
 
     ``np.add.at`` applies the additions of repeated indices in position
     order, but pays an unbuffered per-element inner loop to do it.  The
@@ -174,7 +157,8 @@ def _scatter_program(idx: np.ndarray) -> tuple:
 
 
 def _apply_scatter(target: np.ndarray, program: tuple, values: np.ndarray) -> None:
-    """Run a :func:`_scatter_program` — semantics of :func:`_scatter_add`."""
+    """Run a :func:`_scatter_program`: ``target[..., idx] += values``,
+    accumulating repeated indices in ``np.add.at`` order."""
     values = np.broadcast_to(values, target.shape[:-1] + values.shape[-1:])
     for cols, positions in program:
         target[..., cols] += values[..., positions]
@@ -200,7 +184,6 @@ class _MosfetGroupStructure:
         d = np.array([aug(e.d) for e in elements])
         s = np.array([aug(e.s) for e in elements])
         self.g_idx, self.d_idx, self.s_idx = g, d, s
-        self.n_dev = len(elements)
 
         # I-V stamps: residual +ids at d, -ids at s; Jacobian entries
         # (d,g) (d,d) (d,s) (s,g) (s,d) (s,s) = gm gds gms -gm -gds -gms.
@@ -218,7 +201,7 @@ class _MosfetGroupStructure:
 
         # Scatter programs: duplicate-free rounds equivalent (bitwise) to
         # ``np.add.at`` over the index arrays above; built once per
-        # structure, shared by the interpreted path and the kernel.
+        # structure.
         self.f_prog = _scatter_program(self.f_idx)
         self.j_prog = _scatter_program(self.j_idx)
         self.qf_prog = _scatter_program(self.qf_idx)
@@ -231,25 +214,10 @@ class _MosfetGroup:
     def __init__(self, structure: _MosfetGroupStructure, models):
         self.structure = structure
         self.device = _stack_devices(models)
-        self.g_idx = structure.g_idx
-        self.d_idx = structure.d_idx
-        self.s_idx = structure.s_idx
-        self.n_dev = structure.n_dev
-        self.f_idx = structure.f_idx
-        self.j_idx = structure.j_idx
-        self.qf_idx = structure.qf_idx
-        self.qj_idx = structure.qj_idx
-        self.f_prog = structure.f_prog
-        self.j_prog = structure.j_prog
-        self.qf_prog = structure.qf_prog
-        self.qj_prog = structure.qj_prog
 
     def gather(self, v_aug: np.ndarray):
-        return (
-            v_aug[..., self.g_idx],
-            v_aug[..., self.d_idx],
-            v_aug[..., self.s_idx],
-        )
+        st = self.structure
+        return v_aug[..., st.g_idx], v_aug[..., st.d_idx], v_aug[..., st.s_idx]
 
     def charge_flat(self, v_aug: np.ndarray) -> np.ndarray:
         """Terminal charges in ``qf_idx`` layout, shape ``batch + (3 n_dev,)``."""
@@ -271,7 +239,6 @@ class _CapacitorGroupStructure:
         self.n2_idx = np.array([aug(e.n2) for e in elements])
         self.qf_idx = np.concatenate([self.n1_idx, self.n2_idx])
         self.qf_prog = _scatter_program(self.qf_idx)
-        self.n_cap = len(elements)
 
 
 class _CapacitorGroup:
@@ -279,15 +246,11 @@ class _CapacitorGroup:
 
     def __init__(self, structure: _CapacitorGroupStructure, elements):
         self.structure = structure
-        self.n1_idx = structure.n1_idx
-        self.n2_idx = structure.n2_idx
-        self.qf_idx = structure.qf_idx
-        self.qf_prog = structure.qf_prog
-        self.n_cap = structure.n_cap
         self.c = _stack_field([e.capacitance for e in elements])
 
     def charge_flat(self, v_aug: np.ndarray) -> np.ndarray:
-        dv = v_aug[..., self.n1_idx] - v_aug[..., self.n2_idx]
+        st = self.structure
+        dv = v_aug[..., st.n1_idx] - v_aug[..., st.n2_idx]
         q = np.asarray(self.c) * dv
         return np.concatenate([q, -q], axis=-1)
 
@@ -306,7 +269,7 @@ def structural_fingerprint(circuit) -> Optional[tuple]:
     """Topology-only plan key, or None for unplannable netlists.
 
     Two circuits with equal fingerprints compile to identical index
-    bookkeeping and specialized kernels — only parameter *values* (and
+    bookkeeping — only parameter *values* (and
     batch shapes) differ, and those bind per circuit.  Covers node
     indices, element types and order, and each MOSFET's model
     class/polarity/temperature/derivative mode.  Deliberately excludes
@@ -341,9 +304,9 @@ def structural_fingerprint(circuit) -> Optional[tuple]:
 class PlanStructure:
     """The value-free half of a compiled plan.
 
-    Element classification (slot lists into ``circuit.elements``),
-    stacked-group index arrays, and the specialized assembly kernel.
-    Built once per structural fingerprint and shared by every
+    Element classification (slot lists into ``circuit.elements``) plus
+    stacked-group index arrays and scatter programs.  Built once per
+    structural fingerprint and shared by every
     :class:`CompiledCircuit` bound from it.
     """
 
@@ -401,13 +364,6 @@ class PlanStructure:
             else None
         )
 
-        # Specialized flat DC assembly kernel (repro.codegen.kernels);
-        # None when emission is disabled, in which case CompiledCircuit
-        # falls back to the interpreted per-group loop.
-        from repro.codegen.kernels import build_dc_kernel
-
-        self.dc_kernel_source, self.dc_kernel = build_dc_kernel(self)
-
 
 class CompiledCircuit:
     """A :class:`PlanStructure` bound to one :class:`Circuit`'s values.
@@ -416,8 +372,8 @@ class CompiledCircuit:
     capacitances); only *waveform* levels may change between solves.
     :meth:`Circuit.add` invalidates the owner's cached compilation.
     Pass a pre-built *structure* (from a circuit with an equal
-    :func:`structural_fingerprint`) to skip the index bookkeeping and
-    kernel emission — the structural-cache fast path of
+    :func:`structural_fingerprint`) to skip the index bookkeeping — the
+    structural-cache fast path of
     :class:`repro.api.plans.PlanCache`.
     """
 
@@ -550,11 +506,12 @@ class CompiledCircuit:
         for grp in self.mos_groups:
             ids, gm, gds, gms = self.device_iv(grp, v_aug)
             _apply_scatter(
-                res_aug, grp.f_prog, np.concatenate([ids, -ids], axis=-1)
+                res_aug, grp.structure.f_prog,
+                np.concatenate([ids, -ids], axis=-1),
             )
             _apply_scatter(
                 jac_flat,
-                grp.j_prog,
+                grp.structure.j_prog,
                 np.concatenate([gm, gds, gms, -gm, -gds, -gms], axis=-1),
             )
         return v_aug, res_aug, jac_flat
@@ -577,23 +534,8 @@ class CompiledCircuit:
         return _Assembled(jacobian, residual)
 
     def assemble_dc(self, t: float):
-        """DC assembly closure for :func:`repro.circuit.mna.newton_solve`.
-
-        Uses the specialized flat kernel emitted at structure-compile
-        time when available; the interpreted per-group loop otherwise.
-        Both replay the identical stamp order, so the choice is
-        invisible in the bits.
-        """
+        """DC assembly closure for :func:`repro.circuit.mna.newton_solve`."""
         b = self.source_vector(t)
-        kernel = self.structure.dc_kernel
-        if kernel is not None:
-            devices = tuple(grp.device for grp in self.mos_groups)
-            j_const = self.j_const
-
-            def assemble(v: np.ndarray) -> _Assembled:
-                return _Assembled(*kernel(v, j_const, b, devices))
-
-            return assemble
 
         def assemble(v: np.ndarray) -> _Assembled:
             _, res_aug, jac_flat = self._nonlinear(v)
@@ -645,11 +587,12 @@ class CompiledCircuit:
                         ),
                         axis=-1,
                     )
-                    _apply_scatter(jac_flat, grp.qj_prog, coeff * cap_vals)
+                    _apply_scatter(jac_flat, grp.structure.qj_prog,
+                                   coeff * cap_vals)
                 i_comp = coeff * (q_new - q_hist[k])
                 if not use_be:
                     i_comp = i_comp - i_hist[k]
-                _apply_scatter(res_aug, grp.qf_prog, i_comp)
+                _apply_scatter(res_aug, grp.structure.qf_prog, i_comp)
             return self._finish(v, base_jac, res_aug, jac_flat, b)
 
         return assemble

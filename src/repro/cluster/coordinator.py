@@ -670,7 +670,8 @@ class ClusterExecutor(Executor):
                 "shards": [
                     {"index": s.index, "start": s.start, "stop": s.stop,
                      "base_seed": s.base_seed,
-                     "spawn_prefix": list(s.spawn_prefix)}
+                     "spawn_prefix": list(s.spawn_prefix),
+                     "unsharded": s.unsharded}
                     for s in chunk
                 ],
             })

@@ -284,7 +284,8 @@ class WorkerAgent:
             shards = [
                 Shard(index=int(d["index"]), start=int(d["start"]),
                       stop=int(d["stop"]), base_seed=int(d["base_seed"]),
-                      spawn_prefix=tuple(int(p) for p in d["spawn_prefix"]))
+                      spawn_prefix=tuple(int(p) for p in d["spawn_prefix"]),
+                      unsharded=bool(d.get("unsharded", False)))
                 for d in header["shards"]
             ]
             started = time.perf_counter()

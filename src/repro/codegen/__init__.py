@@ -1,16 +1,5 @@
-"""Code generation: the statistical VS Verilog-A artifact and the
-specialized numpy assembly kernels of the fast Newton path."""
+"""Code generation: the statistical VS Verilog-A artifact."""
 
-from repro.codegen.kernels import (
-    build_dc_kernel,
-    emit_dc_kernel_source,
-    kernels_enabled,
-)
 from repro.codegen.veriloga import generate_veriloga
 
-__all__ = [
-    "build_dc_kernel",
-    "emit_dc_kernel_source",
-    "generate_veriloga",
-    "kernels_enabled",
-]
+__all__ = ["generate_veriloga"]

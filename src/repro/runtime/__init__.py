@@ -1,11 +1,13 @@
 """Sharded parallel runtime: the layer between the API and the engines.
 
-Every large statistical workload — device Monte-Carlo, importance
-sampling, circuit-level cell Monte-Carlo, SSTA graph sampling — routes
-through this subsystem when execution options are engaged:
+Large statistical workloads route through this subsystem — device
+Monte-Carlo, importance sampling and circuit-level cell Monte-Carlo
+specs on every run, SSTA graph sampling when execution options are
+engaged:
 
 * :mod:`~repro.runtime.sharding` plans deterministic shards whose
-  streams depend only on ``(base_seed, shard_index)``;
+  streams depend only on ``(base_seed, shard_index)`` (``base_seed``
+  alone for the unsharded plan of ``execution=None``);
 * :mod:`~repro.runtime.executors` run shards serially or on a process
   pool behind one protocol (``Session(executor=...)`` / ``--workers``);
 * :mod:`~repro.runtime.accumulators` stream mean/variance/extrema,
@@ -52,7 +54,6 @@ from repro.runtime.runner import (
     task_fingerprint,
 )
 from repro.runtime.sharding import (
-    DEFAULT_SHARD_SIZE,
     MAX_AUTO_SHARDS,
     MIN_AUTO_SHARD_SIZE,
     Shard,
@@ -79,7 +80,6 @@ __all__ = [
     "plan_shards",
     "plan_for_execution",
     "stop_rule_for_execution",
-    "DEFAULT_SHARD_SIZE",
     "MIN_AUTO_SHARD_SIZE",
     "MAX_AUTO_SHARDS",
     "auto_shard_size",

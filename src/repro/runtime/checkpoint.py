@@ -2,12 +2,13 @@
 
 A checkpoint freezes a run between waves: the merged accumulator state,
 every completed shard's payload (needed to assemble the final result),
-and the plan fingerprint ``(n_samples, shard_size, base_seed)`` that
-makes the remaining shards reproducible.  Resuming validates the
-fingerprint — a checkpoint written under a different seed or partition
-must never be silently continued — then skips the completed shards and
-runs only the rest; the shard/seed contract guarantees the final merged
-output is bit-identical to an uninterrupted run.
+and the plan fingerprint ``(n_samples, shard_size, base_seed, prefix,
+unsharded)`` that makes the remaining shards reproducible.  Resuming
+validates the fingerprint — a checkpoint written under a different seed
+or partition must never be silently continued — then skips the
+completed shards and runs only the rest; the shard/seed contract
+guarantees the final merged output is bit-identical to an uninterrupted
+run.
 
 The on-disk format is a pickle (accumulator states are plain dicts but
 shard payloads are engine dataclasses with numpy arrays).  Checkpoints
@@ -63,9 +64,13 @@ class RunCheckpoint:
     #: Spawn prefix of the plan (nested sweep/seed contract); a run
     #: nested under a different sweep point must never adopt this state.
     spawn_prefix: Tuple[int, ...] = ()
+    #: Whether the plan was the unsharded one-shard plan, whose stream
+    #: differs from a one-shard sharded plan of the same size.
+    unsharded: bool = False
 
     def matches(self, n_samples: int, shard_size: int, base_seed: int,
-                task: str = "", spawn_prefix: Tuple[int, ...] = ()) -> bool:
+                task: str = "", spawn_prefix: Tuple[int, ...] = (),
+                unsharded: bool = False) -> bool:
         """Whether this checkpoint belongs to the given plan *and* task."""
         return (
             self.n_samples == n_samples
@@ -73,6 +78,7 @@ class RunCheckpoint:
             and self.base_seed == base_seed
             and self.task == task
             and tuple(self.spawn_prefix) == tuple(spawn_prefix)
+            and self.unsharded == unsharded
         )
 
 

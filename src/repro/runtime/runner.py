@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import hashlib
 import io
-import os
 import pickle
 import time
-from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional
 
 from repro.obs import default_registry
 from repro.obs.trace import event, span
@@ -226,17 +225,12 @@ def run_sharded(
                 "task_label): the workload fingerprint is what keeps "
                 "same-plan runs from adopting each other's state"
             )
-        checkpoint_prefix = checkpoint_path
         checkpoint_path = _checkpoint_file(checkpoint_path, plan, waves, label)
         restored = load_checkpoint(checkpoint_path)
-        if restored is None and task_label is None:
-            restored = _restore_legacy_checkpoint(
-                checkpoint_prefix, plan, waves, task, label
-            )
         if restored is not None:
             if not restored.matches(plan.n_samples, plan.shard_size,
                                     plan.base_seed, label,
-                                    plan.spawn_prefix):
+                                    plan.spawn_prefix, plan.unsharded):
                 raise ValueError(
                     f"checkpoint {checkpoint_path} was written for a "
                     f"different run (n_samples/shard_size/base_seed/task "
@@ -309,6 +303,7 @@ def run_sharded(
                     ),
                     payloads=payloads,
                     spawn_prefix=plan.spawn_prefix,
+                    unsharded=plan.unsharded,
                 ),
             )
         if observer is not None:
@@ -367,70 +362,15 @@ def task_fingerprint(task) -> Optional[str]:
     # identity must be content-only, or a daemon restart silently loses
     # resume-ability.  Tasks are acyclic by construction; a recursive
     # one fails to pickle and checkpointing refuses it.
-    digest = _pickle_digest(task, memo=False)
-    return None if digest is None else f"{type(task).__name__}/{digest}"
-
-
-def _legacy_task_fingerprint(task) -> Optional[str]:
-    """The pre-memo-disabling fingerprint, for checkpoint migration.
-
-    Turning the memo off changed every digest, so checkpoints written
-    by earlier releases live under filenames the new fingerprint never
-    derives.  Resume probes this legacy identity once, when no current-
-    format checkpoint exists, and adopts the state instead of silently
-    starting the run over (see :func:`_restore_legacy_checkpoint`).
-    """
-    digest = _pickle_digest(task, memo=True)
-    return None if digest is None else f"{type(task).__name__}/{digest}"
-
-
-def _pickle_digest(task, memo: bool) -> Optional[str]:
     try:
         buffer = io.BytesIO()
         pickler = pickle.Pickler(buffer, protocol=pickle.DEFAULT_PROTOCOL)
-        pickler.fast = not memo
+        pickler.fast = True
         pickler.dump(task)
     except Exception:
         return None
-    return hashlib.sha256(buffer.getvalue()).hexdigest()[:16]
-
-
-#: Backward-compatible private alias (pre-PR-7 name).
-_task_fingerprint = task_fingerprint
-
-
-def _restore_legacy_checkpoint(prefix: str, plan: ShardPlan, wave_size: int,
-                               task, label: str) -> Optional[RunCheckpoint]:
-    """Adopt a pre-memo-disabling checkpoint under the new identity.
-
-    Called only when no current-format checkpoint exists for *label*.
-    Probes the filename the legacy (memo-enabled) fingerprint would
-    have derived; if a valid checkpoint lives there, the legacy file is
-    deleted — the next wave's save lands under the new name, so the old
-    file never lingers as an orphan — and the state is returned stamped
-    with the new *label* so the caller's match check treats it as its
-    own.  Returns ``None`` when there is nothing to migrate (including
-    tasks whose pickle has no internal sharing: both fingerprints then
-    agree and the current-format probe already covered the filename).
-    """
-    legacy_label = _legacy_task_fingerprint(task)
-    if legacy_label is None or legacy_label == label:
-        return None
-    legacy_path = _checkpoint_file(prefix, plan, wave_size, legacy_label)
-    try:
-        restored = load_checkpoint(legacy_path)
-    except Exception:
-        return None
-    if restored is None or not restored.matches(
-        plan.n_samples, plan.shard_size, plan.base_seed, legacy_label,
-        plan.spawn_prefix,
-    ):
-        return None
-    try:
-        os.unlink(legacy_path)
-    except OSError:
-        pass
-    return replace(restored, task=label)
+    digest = hashlib.sha256(buffer.getvalue()).hexdigest()[:16]
+    return f"{type(task).__name__}/{digest}"
 
 
 def _checkpoint_file(prefix: str, plan: ShardPlan, wave_size: int,
@@ -443,12 +383,15 @@ def _checkpoint_file(prefix: str, plan: ShardPlan, wave_size: int,
     rather than silently stop at boundaries no uninterrupted run could
     produce.  Distinct stages of one experiment (different seeds,
     geometries, models) sharing a prefix land in distinct files instead
-    of refusing each other's state.
+    of refusing each other's state.  An unsharded plan shares n,
+    shard size, seed and prefix with ``plan_shards(n, n)`` but draws a
+    different stream, so it is keyed apart; sharded keys are unchanged.
     """
-    fingerprint = hashlib.sha256(
-        f"{plan.n_samples}|{plan.shard_size}|{plan.base_seed}|"
-        f"{plan.spawn_prefix}|{wave_size}|{label}".encode()
-    ).hexdigest()[:12]
+    key = (f"{plan.n_samples}|{plan.shard_size}|{plan.base_seed}|"
+           f"{plan.spawn_prefix}|{wave_size}|{label}")
+    if plan.unsharded:
+        key += "|unsharded"
+    fingerprint = hashlib.sha256(key.encode()).hexdigest()[:12]
     return f"{prefix}.{fingerprint}.ckpt"
 
 
@@ -481,14 +424,16 @@ def plan_for_execution(execution, n_samples: int, base_seed: int,
                        spawn_prefix=()) -> ShardPlan:
     """Shard plan an ``Execution`` spec implies for an *n_samples* run.
 
-    An explicit ``shard_size`` wins; otherwise every engaged execution
-    sizes shards through :func:`~repro.runtime.sharding.auto_shard_size`
-    (batch economics: >= ~200 samples per shard, a constant fan-out cap
-    on the shard count).  Nothing here may consult the worker count —
-    the partition (and through it the sample stream) must be identical
-    at every parallelism level, including ``workers=1``.
-    *spawn_prefix* nests the shard streams under an enclosing sweep
-    point.
+    ``execution=None`` is the unsharded plan: one shard drawing the
+    legacy single stream (see :func:`~repro.runtime.sharding.
+    plan_shards`).  An explicit ``shard_size`` wins; otherwise every
+    engaged execution sizes shards through
+    :func:`~repro.runtime.sharding.auto_shard_size` (batch economics:
+    >= ~200 samples per shard, a constant fan-out cap on the shard
+    count).  Nothing here may consult the worker count — the partition
+    (and through it the sample stream) must be identical at every
+    parallelism level, including ``workers=1``.  *spawn_prefix* nests
+    the shard streams under an enclosing sweep point.
     """
     shard_size = getattr(execution, "shard_size", None)
     if shard_size is None and execution is not None:

@@ -23,9 +23,13 @@ The one thing the stream *does* depend on is the shard size: changing
 ``shard_size`` re-partitions the draw and produces a different (equally
 valid) sample set.  ``Execution(shard_size=None)`` sizes shards
 automatically through :func:`auto_shard_size` — still a pure function
-of the sample count (never of the worker count) — and the legacy
-unsharded entry points (``execution=None`` end to end) keep their
-historical single-stream draws so the golden figures stay pinned.
+of the sample count (never of the worker count).
+
+``execution=None`` is a plan shape, not a code path: the **unsharded**
+plan (``plan_shards(n, None, ...)``) is one shard drawing the bare
+prefix, ``SeedSequence(base_seed, spawn_key=spawn_prefix)`` — with an
+empty prefix exactly ``np.random.default_rng(base_seed)``, the
+single-stream draw the golden figures pin.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 __all__ = [
-    "DEFAULT_SHARD_SIZE",
     "MIN_AUTO_SHARD_SIZE",
     "MAX_AUTO_SHARDS",
     "auto_shard_size",
@@ -46,11 +49,6 @@ __all__ = [
     "shard_sequence",
     "shard_rng",
 ]
-
-#: Historical fixed shard size of PR 3-8 (kept for callers that want a
-#: deterministic constant); execution specs without an explicit
-#: ``shard_size`` now size shards through :func:`auto_shard_size`.
-DEFAULT_SHARD_SIZE = 1024
 
 #: Floor of the automatic shard size.  The batched Newton solver's
 #: per-solve fixed costs (plan lookup, assembly dispatch, LU setup)
@@ -95,13 +93,20 @@ class Shard:
     #: Enclosing grid-point indices (e.g. the sweep point), prepended to
     #: the spawn key: stream = ``SeedSequence(base_seed, (*prefix, index))``.
     spawn_prefix: Tuple[int, ...] = ()
+    #: The single shard of an unsharded plan: its stream is the bare
+    #: prefix, ``SeedSequence(base_seed, prefix)`` (no index key).
+    unsharded: bool = False
 
     @property
     def n_samples(self) -> int:
         return self.stop - self.start
 
     def sequence(self) -> np.random.SeedSequence:
-        """The shard's `SeedSequence` (base seed + prefix + index only)."""
+        """The shard's `SeedSequence` (base seed + prefix + index only;
+        no index for the unsharded shard)."""
+        if self.unsharded:
+            return np.random.SeedSequence(self.base_seed,
+                                          spawn_key=self.spawn_prefix)
         return shard_sequence(self.base_seed, self.index, self.spawn_prefix)
 
     def rng(self) -> np.random.Generator:
@@ -145,6 +150,11 @@ class ShardPlan:
     def n_shards(self) -> int:
         return len(self.shards)
 
+    @property
+    def unsharded(self) -> bool:
+        """Whether this is the one-shard plan drawing the bare prefix."""
+        return self.shards[0].unsharded
+
     def __iter__(self):
         return iter(self.shards)
 
@@ -157,15 +167,18 @@ def plan_shards(
 ) -> ShardPlan:
     """Split *n_samples* into contiguous shards of at most *shard_size*.
 
-    ``shard_size=None`` plans a single shard covering the whole run (the
-    smallest step up from the unsharded path: one stream, one worker).
-    Every shard except possibly the last has exactly *shard_size*
-    samples, so the partition — and through it the sample stream — is a
-    pure function of ``(n_samples, shard_size, base_seed, spawn_prefix)``.
+    ``shard_size=None`` plans the unsharded run: one shard covering
+    every sample, drawing ``SeedSequence(base_seed,
+    spawn_key=spawn_prefix)`` — the legacy single-stream draw, which
+    differs from the stream of ``plan_shards(n, n)``.  Every shard
+    except possibly the last has exactly *shard_size* samples, so the
+    partition — and through it the sample stream — is a pure function
+    of ``(n_samples, shard_size, base_seed, spawn_prefix)``.
     """
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")
-    size = n_samples if shard_size is None else int(shard_size)
+    unsharded = shard_size is None
+    size = n_samples if unsharded else int(shard_size)
     if size <= 0:
         raise ValueError("shard_size must be positive")
     size = min(size, n_samples)
@@ -177,7 +190,8 @@ def plan_shards(
         stop = min(start + size, n_samples)
         shards.append(
             Shard(index=len(shards), start=start, stop=stop,
-                  base_seed=int(base_seed), spawn_prefix=prefix)
+                  base_seed=int(base_seed), spawn_prefix=prefix,
+                  unsharded=unsharded)
         )
         start = stop
     return ShardPlan(

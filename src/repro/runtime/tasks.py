@@ -23,7 +23,7 @@ payload from the ordered shard outputs:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -212,8 +212,11 @@ class FactoryMapTask:
     Builds a shard-local :class:`MonteCarloDeviceFactory` seeded by the
     shard stream, applies the session's backend policy, and runs *work*
     (a picklable callable: module-level function or frozen dataclass).
-    Worker processes keep their own compiled-plan caches — plans are
-    per-process state, and each long-lived pool worker compiles once.
+    Circuits compile into *plan_cache* (the submitting session's) when
+    the task runs in the process that built it.  Pickling drops the
+    cache, so pool and cluster workers — which cannot share it — keep
+    their own per-process caches (each long-lived worker compiles once),
+    and the cache never enters the task's checkpoint fingerprint.
 
     With ``coalesce`` (the default) executors batch all same-task shards
     of a chunk through :meth:`run_chunk` — one Newton solve over the
@@ -228,6 +231,12 @@ class FactoryMapTask:
     model: str = "vs"
     backend: Optional[str] = None
     coalesce: bool = True
+    plan_cache: object = field(default=None, compare=False, repr=False)
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        del state["plan_cache"]
+        return state
 
     def _factory(self, shard: Shard):
         from repro.cells.factory import MonteCarloDeviceFactory
@@ -238,7 +247,8 @@ class FactoryMapTask:
         )
 
     def _equip(self, factory):
-        factory.plan_cache = _process_plan_cache()
+        factory.plan_cache = (self.plan_cache if self.plan_cache is not None
+                              else _process_plan_cache())
         if self.backend is not None:
             factory.backend = self.backend
         return factory
@@ -290,6 +300,7 @@ def run_factory_map(
     model: str = "vs",
     backend: Optional[str] = None,
     coalesce: bool = True,
+    plan_cache=None,
     stop: Optional[StopRule] = None,
     wave_size: Optional[int] = None,
     checkpoint_path: Optional[str] = None,
@@ -299,10 +310,11 @@ def run_factory_map(
 
     Returns ``(values, StreamStats, RuntimeInfo)`` with *values* the
     shard outputs concatenated along the sample axis in shard order.
+    In-process shards compile into *plan_cache* (default: per process).
     """
     task = FactoryMapTask(
         technology=technology, work=work, model=model, backend=backend,
-        coalesce=bool(coalesce),
+        coalesce=bool(coalesce), plan_cache=plan_cache,
     )
     return run_array_task(
         task, plan, executor, stop=stop, wave_size=wave_size,

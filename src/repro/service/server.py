@@ -148,6 +148,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "repro-analysis-service/1.0"
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in two sends: with Nagle on, a kept-alive
+    # response body waits ~40 ms for the client's delayed ACK.
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------
     # Plumbing.

@@ -280,6 +280,48 @@ class TestPlanCache:
         gc.collect()
         assert len(session.plan_cache) == size_before - 1
 
+    def test_concurrent_accounting_is_exact(self, session):
+        """Concurrent submit() handles and service job threads share one
+        cache: every lookup lands in exactly one counter."""
+        import sys
+        import threading
+
+        cache = PlanCache()
+        n_threads, per_thread, rounds = 4, 20, 2
+        # Distinct same-topology circuits: every first lookup misses the
+        # id level and lands on the structural level.
+        circuits = [
+            [TestBackendSelection()._circuit(
+                session, n_samples=1, seed_offset=40 + per_thread * t + k)[0]
+             for k in range(per_thread)]
+            for t in range(n_threads)
+        ]
+        barrier = threading.Barrier(n_threads, timeout=60)
+
+        def hammer(own):
+            barrier.wait()
+            for _ in range(rounds):
+                for circuit in own:
+                    cache.plan_for(circuit)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            threads = [threading.Thread(target=hammer, args=(own,))
+                       for own in circuits]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        stats = cache.stats()
+        assert stats["hits"] + stats["misses"] == (
+            n_threads * per_thread * rounds)
+        assert stats["structural_hits"] + stats["structural_compiles"] == (
+            stats["misses"])
+
     def test_equip_adopts_custom_factories(self, technology):
         from repro.cells.factory import NominalDeviceFactory
 

@@ -1,5 +1,5 @@
-"""Fast Newton path (PR 9): analytic derivatives, specialized kernels,
-coalesced cross-shard execution.
+"""Fast Newton path: analytic derivatives, scatter rounds, coalesced
+cross-shard execution.
 
 Four contracts are pinned here:
 
@@ -8,12 +8,11 @@ Four contracts are pinned here:
   ``ids`` across random bias points and card perturbations (hypothesis
   property tests, one per model).
 * **Scatter rounds = np.add.at** — the duplicate-free scatter programs
-  the assembly kernels run are *bitwise* the reference ``np.add.at``
+  the assembly runs are *bitwise* the reference ``np.add.at``
   accumulation for arbitrary index multisets.
 * **Determinism matrix** — the circuit-level Monte-Carlo envelope is
   bit-identical across every fast-path switch: coalescing on/off,
-  specialized kernels on/off, analytic/fd derivatives (values only),
-  1/2 workers, and the legacy unsharded path.
+  analytic/fd derivatives (values only), and 1/2 workers.
 * **Compile economics** — a sharded fig9-style run performs exactly one
   structure compile per distinct circuit topology, verified through the
   plan-cache metric.
@@ -30,11 +29,7 @@ from hypothesis import assume, given, settings, strategies as st
 import repro.runtime.tasks as tasks_mod
 from repro.api import Execution, FactoryMap, MonteCarlo, Session, Sweep
 from repro.cells.sram import SRAMSpec
-from repro.circuit.compiled import (
-    _apply_scatter,
-    _scatter_add,
-    _scatter_program,
-)
+from repro.circuit.compiled import _apply_scatter, _scatter_program
 from repro.data.cards import bsim_nmos_40nm, vs_nmos_40nm, vs_pmos_40nm
 from repro.devices.bsim.model import BSIMDevice
 from repro.devices.vs.model import VSDevice
@@ -52,8 +47,7 @@ def _vt0_metric(params):
 
 
 def _fresh_process_cache():
-    """Reset the per-process plan cache (kernels are baked into cached
-    structures, so REPRO_KERNELS toggles need a cold cache)."""
+    """Reset the per-process plan cache (cold-compile isolation)."""
     tasks_mod._PROCESS_PLAN_CACHE = None
 
 
@@ -127,6 +121,16 @@ class TestAnalyticDerivatives:
 # ----------------------------------------------------------------------
 # Scatter rounds == np.add.at, bitwise.
 # ----------------------------------------------------------------------
+def _scatter_add(target: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
+    """The ``np.add.at`` oracle: ``target[..., idx] += values`` with
+    accumulation on repeated indices (*values* broadcasts to
+    ``batch + (K,)`` for ``idx`` of shape ``(K,)``)."""
+    values = np.broadcast_to(values, target.shape[:-1] + idx.shape)
+    flat_t = target.reshape(-1, target.shape[-1])
+    flat_v = values.reshape(-1, idx.shape[0])
+    np.add.at(flat_t, (slice(None), idx), flat_v)
+
+
 class TestScatterProgram:
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), m=st.integers(2, 10), k=st.integers(1, 24),
@@ -168,10 +172,7 @@ class TestDeterminismMatrix:
     def work(self, session):
         return SNMWork(SRAMSpec(), session.technology.vdd, "read")
 
-    def _run(self, technology, work, execution, env=None, monkeypatch=None):
-        if env:
-            for key, value in env.items():
-                monkeypatch.setenv(key, value)
+    def _run(self, technology, work, execution):
         _fresh_process_cache()
         try:
             session = Session(technology=technology, seed=20260801)
@@ -179,30 +180,18 @@ class TestDeterminismMatrix:
                                        execution=execution)
             return np.asarray(values)
         finally:
-            if env and monkeypatch is not None:
-                monkeypatch.undo()
             _fresh_process_cache()
 
-    def test_montecarlo_matrix(self, technology, work, monkeypatch):
+    def test_montecarlo_matrix(self, technology, work):
         sharded = self._run(technology, work, Execution(shard_size=8))
         cases = {
-            "uncoalesced": dict(
-                execution=Execution(shard_size=8, coalesce=False)),
-            "workers2": dict(
-                execution=Execution(shard_size=8, workers=2)),
-            "workers2_uncoalesced": dict(
-                execution=Execution(shard_size=8, workers=2,
-                                    coalesce=False)),
-            "no_kernels": dict(
-                execution=Execution(shard_size=8),
-                env={"REPRO_KERNELS": "0"}),
-            "no_kernels_workers2": dict(
-                execution=Execution(shard_size=8, workers=2),
-                env={"REPRO_KERNELS": "0"}),
+            "uncoalesced": Execution(shard_size=8, coalesce=False),
+            "workers2": Execution(shard_size=8, workers=2),
+            "workers2_uncoalesced": Execution(shard_size=8, workers=2,
+                                              coalesce=False),
         }
-        for label, kwargs in cases.items():
-            got = self._run(technology, work, monkeypatch=monkeypatch,
-                            **kwargs)
+        for label, execution in cases.items():
+            got = self._run(technology, work, execution)
             np.testing.assert_array_equal(got, sharded, err_msg=label)
 
     def test_sweep_composition_worker_invariant(self, technology, work):
@@ -245,12 +234,12 @@ class TestDeterminismMatrix:
 # ----------------------------------------------------------------------
 class TestCompileEconomics:
     def test_sharded_snm_compiles_once_per_topology(self, technology):
-        _fresh_process_cache()
         session = Session(technology=technology, seed=20260801)
         work = SNMWork(SRAMSpec(), technology.vdd, "read")
         session.map_mc(work, N_MC, model="vs",
                        execution=Execution(shard_size=8))
-        stats = tasks_mod._process_plan_cache().stats()
+        # In-process shards compile into the session's own cache.
+        stats = session.plan_cache.stats()
         # The butterfly measurement solves two forced half-cell
         # topologies; every sweep point and every shard rebinds a cached
         # structure instead of recompiling.
@@ -260,7 +249,6 @@ class TestCompileEconomics:
         # structural hits (value binding only), zero new compiles.
         session.map_mc(work, N_MC, model="vs",
                        execution=Execution(shard_size=8))
-        stats = tasks_mod._process_plan_cache().stats()
+        stats = session.plan_cache.stats()
         assert stats["structural_compiles"] == 2
         assert stats["structural_hits"] >= 2
-        _fresh_process_cache()

@@ -57,39 +57,16 @@ def _multicolumn_work(factory):
     return np.stack([vt0, 2.0 * vt0, 3.0 * vt0], axis=1)
 
 
-class _AliasedPayloadTask:
-    """Picklable task whose two fields alias one object.
-
-    With the pickle memo enabled the second reference serializes as a
-    backreference, so the memo-enabled and memo-free content digests
-    differ — the checkpoint-migration hazard the legacy-resume test
-    exercises.
-    """
-
-    def __init__(self, a, b):
-        self.a = a
-        self.b = b
-
-    def __call__(self, shard):
-        return float(shard.n_samples)
+def _normal_draws(shard):
+    """Module-level (picklable) array task: the shard stream's normals."""
+    return shard.rng().standard_normal(shard.n_samples)
 
 
-class _CountAccumulator:
-    """Minimal checkpointable accumulator (state round-trip + count)."""
-
-    def __init__(self, n: int = 0):
-        self.n = n
-
-    def state(self):
-        return {"n": self.n}
-
-    @classmethod
-    def from_state(cls, state):
-        return cls(int(state["n"]))
-
-
-def _count_accumulate(accumulator, payload):
-    accumulator.n += int(payload)
+def _prefix_rng(base_seed, prefix=()):
+    """The unsharded plan's stream: ``SeedSequence(base_seed, prefix)``."""
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(base_seed, spawn_key=prefix)
+    ))
 
 
 # ----------------------------------------------------------------------
@@ -486,7 +463,8 @@ class TestWorkerCountInvariance:
 
     def test_legacy_path_untouched_by_runtime(self, session, technology):
         # execution=None on a serial session must remain the historical
-        # single-stream draw (what the golden figures pin).
+        # single-stream draw (what the golden figures pin), drawn by the
+        # runner's one-shard unsharded plan.
         from repro.stats.montecarlo import target_samples
 
         result = session.run(MonteCarlo(n_samples=400, w_nm=600.0, seed_offset=2))
@@ -497,7 +475,155 @@ class TestWorkerCountInvariance:
         np.testing.assert_array_equal(
             result.payload.samples["idsat"], legacy.samples["idsat"]
         )
-        assert result.runtime is None
+        assert result.runtime.n_shards == 1
+
+
+# ----------------------------------------------------------------------
+# The unsharded plan: execution=None is the legacy single-stream draw.
+# ----------------------------------------------------------------------
+class TestUnshardedPlan:
+    """Device Monte-Carlo is pinned to its legacy draw by
+    ``test_legacy_path_untouched_by_runtime`` (top level) and
+    ``tests/test_sweep.py::test_spawn_points_follow_nested_seed_sequence``
+    (under a sweep point's prefix)."""
+
+    def test_plan_draws_the_bare_prefix_stream(self):
+        plan = plan_shards(50, None, base_seed=7)
+        assert plan.unsharded and plan.n_shards == 1
+        np.testing.assert_array_equal(
+            plan.shards[0].rng().standard_normal(8),
+            np.random.default_rng(7).standard_normal(8),
+        )
+        nested = plan_shards(50, None, base_seed=7, spawn_prefix=(3,))
+        np.testing.assert_array_equal(
+            nested.shards[0].rng().standard_normal(8),
+            _prefix_rng(7, (3,)).standard_normal(8),
+        )
+        # Same geometry as the one-shard sharded plan, different stream.
+        sharded = plan_shards(50, 50, base_seed=7)
+        assert not sharded.unsharded
+        assert not np.array_equal(
+            sharded.shards[0].rng().standard_normal(8),
+            np.random.default_rng(7).standard_normal(8),
+        )
+
+    def test_factory_map_is_the_legacy_factory_draw(self, session,
+                                                   technology):
+        from repro.api import FactoryMap, Sweep
+        from repro.cells.factory import MonteCarloDeviceFactory
+
+        def legacy(n_samples, rng):
+            return _vt0_work(MonteCarloDeviceFactory(technology, n_samples,
+                                                     rng=rng, model="vs"))
+
+        spec = FactoryMap(work=_vt0_work, n_samples=64, seed_offset=6)
+        np.testing.assert_array_equal(session.run(spec).payload,
+                                      legacy(64, session.rng(6)))
+        swept = session.run(Sweep(spec, over={"n_samples": (32, 64)}))
+        for j, n_samples in enumerate((32, 64)):
+            np.testing.assert_array_equal(
+                swept.points[j].payload,
+                legacy(n_samples, _prefix_rng(session.seed + 6, (j,))),
+            )
+
+    def test_circuit_factory_map_compiles_into_the_session_cache(
+        self, technology
+    ):
+        from repro.cells.factory import MonteCarloDeviceFactory
+        from repro.cells.sram import SRAMSpec
+        from repro.experiments.fig9_sram_snm import SNMWork
+
+        session = Session(technology=technology, seed=20260101)
+        work = SNMWork(SRAMSpec(), technology.vdd, "read")
+        values, runtime = session.map_mc(work, 4, seed_offset=8)
+        assert runtime.n_shards == 1
+        # The two forced half-cell topologies compile into the session's
+        # own cache, as the pre-runtime single-factory path did.
+        assert session.plan_cache.stats()["structural_compiles"] == 2
+        legacy = work(session.equip(MonteCarloDeviceFactory(
+            technology, 4, rng=session.rng(8), model="vs")))
+        np.testing.assert_array_equal(values, legacy)
+
+    def test_importance_matches_the_batch_estimator(self, session,
+                                                   technology):
+        from repro.stats.importance import estimate_failure_probability
+
+        model = technology["nmos"].statistical
+        threshold = float(np.asarray(model.nominal.vt0)) + 0.05
+        kwargs = dict(w_nm=600.0, l_nm=40.0, fail_below=False)
+        got = session.run(ImportanceSampling(
+            metric=_vt0_metric, threshold=threshold, shifts={"vt0": 2.0},
+            n_samples=500, seed_offset=5, **kwargs,
+        )).payload
+        want = estimate_failure_probability(
+            model, _vt0_metric, threshold, {"vt0": 2.0}, 500,
+            session.rng(5), **kwargs,
+        )
+        assert want.n_failures > 0
+        assert got.probability == want.probability
+        assert got.effective_samples == want.effective_samples
+        assert got.n_failures == want.n_failures
+        assert got.n_samples == want.n_samples
+        # StreamStats reduces var*n where the batch estimator takes
+        # std(ddof=1): the two agree to the last bits only.
+        assert got.std_error == pytest.approx(want.std_error, rel=1e-12)
+
+    def test_sharded_checkpoint_is_not_adopted(self, tmp_path):
+        import shutil
+
+        from repro.runtime import run_array_task
+
+        prefix = str(tmp_path / "run.ckpt")
+        sharded, _, _ = run_array_task(
+            _normal_draws, plan_shards(40, 40, base_seed=7),
+            SerialExecutor(), checkpoint_path=prefix,
+        )
+        (sharded_file,) = tmp_path.glob("run.ckpt.*.ckpt")
+        unsharded, _, info = run_array_task(
+            _normal_draws, plan_shards(40, None, base_seed=7),
+            SerialExecutor(), checkpoint_path=prefix,
+        )
+        assert info.resumed_shards == 0
+        np.testing.assert_array_equal(
+            unsharded, np.random.default_rng(7).standard_normal(40))
+        assert not np.array_equal(unsharded, sharded)
+        # Even the sharded state planted under the unsharded file name is
+        # refused rather than adopted.
+        (unsharded_file,) = set(tmp_path.glob("run.ckpt.*.ckpt")) - {
+            sharded_file}
+        shutil.copyfile(sharded_file, unsharded_file)
+        with pytest.raises(ValueError, match="different run"):
+            run_array_task(
+                _normal_draws, plan_shards(40, None, base_seed=7),
+                SerialExecutor(), checkpoint_path=prefix,
+            )
+
+    def test_default_session_runs_carry_runtime_and_telemetry(
+        self, technology
+    ):
+        from repro.api import FactoryMap
+        from repro.obs import Tracer
+
+        session = Session(technology=technology, seed=20260101,
+                          tracer=Tracer())
+        threshold = float(np.asarray(
+            technology["nmos"].statistical.nominal.vt0))
+        for spec in (
+            MonteCarlo(n_samples=50, w_nm=600.0),
+            ImportanceSampling(metric=_vt0_metric, threshold=threshold,
+                               shifts={"vt0": 1.0}, n_samples=50,
+                               w_nm=600.0, l_nm=40.0),
+            FactoryMap(work=_vt0_work, n_samples=50),
+        ):
+            handle = session.submit(spec)
+            runtime = handle.result().runtime
+            assert runtime.n_shards == 1
+            assert runtime.executor == "serial"
+            assert "run.wave" in runtime.telemetry["spans"]
+            progress = handle.progress()
+            assert (progress.completed, progress.total) == (1, 1)
+            assert progress.unit == "shards"
+            assert handle.partial()["n_samples"] == 50
 
 
 # ----------------------------------------------------------------------
@@ -729,57 +855,6 @@ class TestCheckpoint:
                 execution=Execution(shard_size=100, wave_size=1,
                                     checkpoint=prefix),
             ))
-
-    def test_pre_pr7_memo_checkpoint_is_migrated_on_resume(self, tmp_path):
-        # Regression: disabling the pickle memo in task_fingerprint
-        # changed every digest, so checkpoints written by earlier
-        # releases live under filenames the new fingerprint never
-        # derives.  A resume must adopt (and retire) the legacy file
-        # instead of silently starting over and orphaning it.
-        import os
-
-        from repro.runtime import save_checkpoint
-        from repro.runtime.runner import (
-            _checkpoint_file,
-            _legacy_task_fingerprint,
-            task_fingerprint,
-        )
-
-        shared = ("aliased", 1.0)
-        task = _AliasedPayloadTask(shared, shared)
-        # The aliasing makes the memo-enabled (legacy) digest differ
-        # from the memo-free one — the exact upgrade hazard.
-        assert _legacy_task_fingerprint(task) != task_fingerprint(task)
-
-        prefix = str(tmp_path / "legacy.ckpt")
-        plan = plan_shards(40, 10, base_seed=7)
-        first = run_sharded(
-            task, plan, SerialExecutor(), accumulator=_CountAccumulator(),
-            accumulate=_count_accumulate, wave_size=1,
-            stop=StopRule(max_samples=20), checkpoint_path=prefix,
-        )
-        assert first.info.shards_run == 2
-        # Rewrite the on-disk state exactly as a pre-PR-7 release left
-        # it: same checkpoint, filed under the legacy label/filename.
-        (new_path,) = tmp_path.glob("legacy.ckpt.*.ckpt")
-        legacy_label = _legacy_task_fingerprint(task)
-        legacy_path = _checkpoint_file(prefix, plan, 1, legacy_label)
-        checkpoint = load_checkpoint(str(new_path))
-        from dataclasses import replace
-        save_checkpoint(legacy_path, replace(checkpoint, task=legacy_label))
-        os.unlink(new_path)
-
-        resumed = run_sharded(
-            task, plan, SerialExecutor(), accumulator=_CountAccumulator(),
-            accumulate=_count_accumulate, wave_size=1,
-            checkpoint_path=prefix,
-        )
-        assert resumed.info.resumed_shards == 2
-        assert resumed.accumulator.n == 40
-        # Migrated, not orphaned: the legacy file is gone and the
-        # completed run's state lives under the new filename.
-        assert not os.path.exists(legacy_path)
-        assert list(tmp_path.glob("legacy.ckpt.*.ckpt"))
 
     def test_checkpointing_refuses_unpicklable_tasks(self, session,
                                                      technology, tmp_path):

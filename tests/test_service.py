@@ -533,6 +533,28 @@ class TestHTTPService:
         code, body = post(json.dumps({"spec": encode(DCOp())}).encode())
         assert code == 400 and "circuit" in body["error"]["message"]
 
+    def test_kept_alive_requests_do_not_stall(self, server):
+        """Regression: the handler writes headers and body in two sends;
+        with Nagle on, every response on a kept-alive connection waited
+        ~40 ms for the client's delayed ACK (20 requests took ~0.84 s)."""
+        import http.client
+        from urllib.parse import urlsplit
+
+        url = urlsplit(server.url)
+        conn = http.client.HTTPConnection(url.hostname, url.port,
+                                          timeout=30)
+        try:
+            start = time.perf_counter()
+            for _ in range(20):
+                conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                assert response.status == 200
+                response.read()
+            elapsed = time.perf_counter() - start
+        finally:
+            conn.close()
+        assert elapsed < 0.5
+
     def test_unknown_routes_and_jobs(self, server):
         client = ServiceClient(server.url)
         with pytest.raises(ServiceError) as err:

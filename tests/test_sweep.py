@@ -329,7 +329,9 @@ class TestSchedulingInvariance:
             swept = parallel.run(sweep)
             assert swept.runtime is not None  # the sweep fanned out...
             for j, point in enumerate(swept.points):
-                assert point.runtime is None  # ...the points did not
+                # ...the points ran unsharded on the serial executor.
+                assert point.runtime.n_shards == 1
+                assert point.runtime.executor == "serial"
                 direct = serial.run(
                     MonteCarlo(n_samples=40, w_nm=(300.0, 600.0)[j],
                                seed_offset=4 + j)
