@@ -125,6 +125,7 @@ class PlanCache:
             PlanStructure,
             UnsupportedCircuitError,
             compile_circuit,
+            record_fallback,
             structural_fingerprint,
         )
 
@@ -152,7 +153,8 @@ class PlanCache:
                 if skey is not None:
                     try:
                         structure = PlanStructure(circuit)
-                    except UnsupportedCircuitError:
+                    except UnsupportedCircuitError as error:
+                        record_fallback(error)
                         structure = None
                     plan = (
                         compile_circuit(circuit, structure)

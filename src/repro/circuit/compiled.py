@@ -10,8 +10,9 @@ This module removes that loop.  A :class:`CompiledCircuit` partitions
 the netlist once:
 
 * **Linear stamps** (resistors, the voltage-source branch pattern) are
-  accumulated into a constant conductance matrix ``G``; the per-iteration
-  linear residual is one batched matvec ``G @ v``.
+  accumulated into a constant matrix ``G`` over all unknowns; the
+  per-iteration linear residual is one batched matvec ``G @ v``.  Only
+  its node×node block (the resistor conductances) seeds the Jacobian.
 * **Sources** are evaluated once per time point into a vector ``b(t)``.
 * **MOSFETs are stacked along a trailing device axis**: all transistors
   sharing a model class, polarity and temperature become ONE stacked
@@ -23,18 +24,32 @@ the netlist once:
 * **Capacitors** are likewise grouped; their constant charge Jacobian is
   folded into the per-step companion base matrix.
 
-Ground bookkeeping uses an augmented unknown vector: index ``n`` is a
-dump row that absorbs every ground contribution and is sliced off before
-the solve, so no masking appears in the hot loop.
+Ground bookkeeping happens at plan time: terminals are gathered from the
+solution vector with one appended zero (ground reads as 0 V), and the
+scatter programs drop every ground entry, so no masking appears in the
+hot loop.
+
+**Source elimination.**  Every voltage source must be grounded
+at exactly one terminal; each then *pins* its other node, and no node is
+pinned twice (anything else raises :class:`UnsupportedCircuitError`).
+The unknowns split once per structure into pinned nodes, their sources'
+branch currents and free nodes.  The assembled Jacobian is the node×node
+block only — the source rows and columns are ±1 constants the plan
+knows — and :meth:`_SourcePartition.newton_step` solves the Newton
+system by exact block elimination: pinned-node steps come straight from
+the source rows, one stacked ``np.linalg.solve`` runs on the free block,
+and branch-current steps follow by back-substitution through the pinned
+nodes' KCL rows.  In exact arithmetic this is the dense MNA step.
 
 Compilation is split in two (PR 9):
 
 * A :class:`PlanStructure` is the **value-free** part — element
-  classification plus per-group index arrays and scatter programs.  It
-  depends only on the circuit's *structural fingerprint*
-  (:func:`structural_fingerprint`: topology + element types + model
-  class/polarity/temperature, never parameter values or batch shapes),
-  so every per-shard circuit a factory stamps out shares one structure.
+  classification, the source partition, and per-group index arrays and
+  scatter programs.  It depends only on the circuit's *structural
+  fingerprint* (:func:`structural_fingerprint`: topology + element
+  types + model class/polarity/temperature, never parameter values or
+  batch shapes), so every per-shard circuit a factory stamps out shares
+  one structure.
 * A :class:`CompiledCircuit` **binds** a structure to one circuit's
   values: stacked device cards, the constant conductance matrix, the
   linear charge Jacobian.  Binding is cheap — no index bookkeeping.
@@ -47,23 +62,33 @@ the property ``tests/test_batched_circuit.py`` locks in.
 from __future__ import annotations
 
 import dataclasses
+import logging
+import threading
 import weakref
 from typing import List, Optional
 
 import numpy as np
 
 from repro.circuit import elements as _el
+from repro.circuit.mna import _solve_stacked
+from repro.obs import default_registry, get_logger, log_event
 
 __all__ = [
     "CompiledCircuit",
     "PlanStructure",
     "UnsupportedCircuitError",
     "compile_circuit",
+    "record_fallback",
     "structural_fingerprint",
 ]
 
 #: Charge terminal order of a MOSFET group (matches ``MOSFET.charge_terminals``).
 _TERMS = ("g", "d", "s")
+
+_LOG = get_logger("circuit.compiled")
+#: Fallback reasons already warned about in this process.
+_FALLBACK_WARNED: set = set()
+_FALLBACK_LOCK = threading.Lock()
 
 
 class UnsupportedCircuitError(TypeError):
@@ -72,17 +97,52 @@ class UnsupportedCircuitError(TypeError):
     This is the ONLY condition under which :func:`compile_circuit` falls
     back to the generic per-element path — genuine defects inside the
     compiler propagate instead of silently degrading to the slow path.
+    *reason* is a short stable label (``unsupported_element``,
+    ``floating_source``, ...) for ``repro_compile_fallbacks_total``.
     """
+
+    def __init__(self, message: str, reason: str = "unsupported"):
+        super().__init__(message)
+        self.reason = reason
+
+
+def record_fallback(error: UnsupportedCircuitError) -> None:
+    """Make one generic-path fallback visible.
+
+    Counts it in ``repro_compile_fallbacks_total{reason}`` and logs one
+    structured ``compile.fallback`` warning per reason per process.
+    Scheduling-side only: nothing here changes which path runs.
+    """
+    reason = error.reason
+    default_registry().counter(
+        "repro_compile_fallbacks_total",
+        "Circuits sent to the generic per-element path, by reason",
+        labels={"reason": reason},
+    ).inc()
+    with _FALLBACK_LOCK:
+        first = reason not in _FALLBACK_WARNED
+        _FALLBACK_WARNED.add(reason)
+    if first:
+        log_event(_LOG, "compile.fallback", level=logging.WARNING,
+                  reason=reason, detail=str(error))
 
 
 class _Assembled:
-    """Duck-typed :class:`repro.circuit.mna.System` result."""
+    """Duck-typed :class:`repro.circuit.mna.System` result.
 
-    __slots__ = ("jacobian", "residual")
+    ``jacobian`` is the node×node block, ``residual`` covers every
+    unknown, and ``newton_step`` is the plan's
+    :meth:`_SourcePartition.newton_step`, which eliminates the source
+    unknowns.
+    """
 
-    def __init__(self, jacobian: np.ndarray, residual: np.ndarray):
+    __slots__ = ("jacobian", "residual", "newton_step")
+
+    def __init__(self, jacobian: np.ndarray, residual: np.ndarray,
+                 newton_step):
         self.jacobian = jacobian
         self.residual = residual
+        self.newton_step = newton_step
 
 
 def _stack_field(values):
@@ -139,13 +199,17 @@ def _scatter_program(idx: np.ndarray) -> tuple:
     contributions in exactly the position order ``np.add.at`` used —
     float addition order identical, results bitwise identical.  Most
     stamp index arrays need one round plus a small remainder (shared
-    nodes, the ground dump row), so the hot path becomes a couple of
-    gather/add/scatter passes instead of a scalar loop.
+    nodes), so the hot path becomes a couple of gather/add/scatter
+    passes instead of a scalar loop.  Negative indices (ground entries)
+    are dropped at plan time; every other cell still sees its
+    contributions in position order.
     """
     idx = np.asarray(idx)
-    occurrence = np.empty(idx.shape, dtype=np.intp)
+    occurrence = np.full(idx.shape, -1, dtype=np.intp)
     counts: dict = {}
     for pos, value in enumerate(idx.tolist()):
+        if value < 0:
+            continue
         occurrence[pos] = counts.get(value, 0)
         counts[value] = occurrence[pos] + 1
     n_rounds = max(counts.values(), default=0)
@@ -164,6 +228,17 @@ def _apply_scatter(target: np.ndarray, program: tuple, values: np.ndarray) -> No
         target[..., cols] += values[..., positions]
 
 
+def _gather_index(nodes: np.ndarray, n: int) -> np.ndarray:
+    """Node indices into ``v`` with one appended zero: ground reads 0 V."""
+    return np.where(nodes < 0, n, nodes)
+
+
+def _block_index(rows: np.ndarray, cols: np.ndarray, n_nodes: int) -> np.ndarray:
+    """Flat row-major index into the node×node Jacobian block; entries
+    in a ground row or column become -1 (dropped by the scatter)."""
+    return np.where((rows >= 0) & (cols >= 0), rows * n_nodes + cols, -1)
+
+
 class _MosfetGroupStructure:
     """Index arrays for all MOSFETs sharing one stacked evaluation.
 
@@ -173,39 +248,37 @@ class _MosfetGroupStructure:
     gather the matching models out of a concrete netlist.
     """
 
-    def __init__(self, slots: List[int], elements: List[_el.MOSFET], n: int):
-        naug = n + 1
+    def __init__(self, slots: List[int], elements: List[_el.MOSFET],
+                 n: int, n_nodes: int):
         self.slots = list(slots)
+        g = np.array([e.g for e in elements])
+        d = np.array([e.d for e in elements])
+        s = np.array([e.s for e in elements])
+        self.g_idx, self.d_idx, self.s_idx = (
+            _gather_index(g, n), _gather_index(d, n), _gather_index(s, n)
+        )
 
-        def aug(index: int) -> int:
-            return index if index >= 0 else n
-
-        g = np.array([aug(e.g) for e in elements])
-        d = np.array([aug(e.d) for e in elements])
-        s = np.array([aug(e.s) for e in elements])
-        self.g_idx, self.d_idx, self.s_idx = g, d, s
-
-        # I-V stamps: residual +ids at d, -ids at s; Jacobian entries
-        # (d,g) (d,d) (d,s) (s,g) (s,d) (s,s) = gm gds gms -gm -gds -gms.
-        self.f_idx = np.concatenate([d, s])
-        rows = np.concatenate([d, d, d, s, s, s])
-        cols = np.concatenate([g, d, s, g, d, s])
-        self.j_idx = rows * naug + cols
+        # Scatter programs, duplicate-free rounds equivalent (bitwise) to
+        # ``np.add.at`` with ground entries dropped; built once per
+        # structure.  I-V stamps: residual +ids at d, -ids at s; Jacobian
+        # entries (d,g) (d,d) (d,s) (s,g) (s,d) (s,s) = gm gds gms -gm
+        # -gds -gms.
+        self.f_prog = _scatter_program(np.concatenate([d, s]))
+        self.j_node_prog = _scatter_program(_block_index(
+            np.concatenate([d, d, d, s, s, s]),
+            np.concatenate([g, d, s, g, d, s]),
+            n_nodes,
+        ))
 
         # Charge stamps over terminals (g, d, s), terminal-major layout.
         term = {"g": g, "d": d, "s": s}
-        self.qf_idx = np.concatenate([term[t] for t in _TERMS])
-        self.qj_idx = np.concatenate(
-            [term[ti] * naug + term[tj] for ti in _TERMS for tj in _TERMS]
+        self.qf_prog = _scatter_program(
+            np.concatenate([term[t] for t in _TERMS])
         )
-
-        # Scatter programs: duplicate-free rounds equivalent (bitwise) to
-        # ``np.add.at`` over the index arrays above; built once per
-        # structure.
-        self.f_prog = _scatter_program(self.f_idx)
-        self.j_prog = _scatter_program(self.j_idx)
-        self.qf_prog = _scatter_program(self.qf_idx)
-        self.qj_prog = _scatter_program(self.qj_idx)
+        self.qj_node_prog = _scatter_program(np.concatenate([
+            _block_index(term[ti], term[tj], n_nodes)
+            for ti in _TERMS for tj in _TERMS
+        ]))
 
 
 class _MosfetGroup:
@@ -231,14 +304,11 @@ class _CapacitorGroupStructure:
     """Index arrays for the stacked linear-capacitor group (value-free)."""
 
     def __init__(self, slots: List[int], elements: List[_el.Capacitor], n: int):
-        def aug(index: int) -> int:
-            return index if index >= 0 else n
-
         self.slots = list(slots)
-        self.n1_idx = np.array([aug(e.n1) for e in elements])
-        self.n2_idx = np.array([aug(e.n2) for e in elements])
-        self.qf_idx = np.concatenate([self.n1_idx, self.n2_idx])
-        self.qf_prog = _scatter_program(self.qf_idx)
+        n1 = np.array([e.n1 for e in elements])
+        n2 = np.array([e.n2 for e in elements])
+        self.n1_idx, self.n2_idx = _gather_index(n1, n), _gather_index(n2, n)
+        self.qf_prog = _scatter_program(np.concatenate([n1, n2]))
 
 
 class _CapacitorGroup:
@@ -253,6 +323,89 @@ class _CapacitorGroup:
         dv = v_aug[..., st.n1_idx] - v_aug[..., st.n2_idx]
         q = np.asarray(self.c) * dv
         return np.concatenate([q, -q], axis=-1)
+
+
+class _SourcePartition:
+    """The unknowns split by the grounded ideal voltage sources.
+
+    Value-free, built once per :class:`PlanStructure`.  Each source is
+    grounded at exactly one terminal and pins the other node: its branch
+    row reads ``sign * dv[node] = -r[branch]`` (sign +1 when the node is
+    the positive terminal, -1 when it is the negative one), and the
+    pinned node's KCL row carries ``sign * dv[branch]``.  The remaining
+    nodes are free.  A floating source, or a node pinned twice, raises
+    :class:`UnsupportedCircuitError` (the generic path then solves the
+    dense system).
+    """
+
+    def __init__(self, vsources, n_nodes: int):
+        pinned: List[int] = []
+        signs: List[float] = []
+        for src in vsources:
+            if src.pos >= 0 > src.neg:
+                node, sign = src.pos, 1.0
+            elif src.neg >= 0 > src.pos:
+                node, sign = src.neg, -1.0
+            else:
+                raise UnsupportedCircuitError(
+                    f"voltage source {src.name!r} is not grounded at "
+                    "exactly one terminal", reason="floating_source",
+                )
+            if node in pinned:
+                raise UnsupportedCircuitError(
+                    f"voltage source {src.name!r} pins a node another "
+                    "source already pins", reason="node_pinned_twice",
+                )
+            pinned.append(node)
+            signs.append(sign)
+        self.n_nodes = n_nodes
+        self.pinned = np.array(pinned, dtype=np.intp)
+        self.branches = np.array(
+            [src.branch_index for src in vsources], dtype=np.intp
+        )
+        #: ``-sign``: both source-row solves are ``-sign * r``, exact for ±1.
+        self.neg_sign = -np.array(signs)
+        self.free = np.array(
+            sorted(set(range(n_nodes)) - set(pinned)), dtype=np.intp
+        )
+        # Flat indices into a row-major (n_nodes, n_nodes) block.
+        p, f, nodes = self.pinned, self.free, np.arange(n_nodes)
+        self.ff_idx = (f[:, None] * n_nodes + f[None, :]).ravel()
+        self.fp_idx = (f[:, None] * n_nodes + p[None, :]).ravel()
+        self.pn_idx = (p[:, None] * n_nodes + nodes[None, :]).ravel()
+
+    def newton_step(self, jacobian: np.ndarray, residual: np.ndarray):
+        """Newton updates ``dv`` solving ``J dv = -r`` by elimination.
+
+        *jacobian* is the stacked node×node block ``(k, N, N)``,
+        *residual* covers all unknowns ``(k, n)``.  Same contract as
+        :func:`repro.circuit.mna._solve_stacked`: returns ``(dv,
+        solvable)`` with *solvable* None unless a free block was
+        singular (those rows are flagged False).
+        """
+        k = residual.shape[0]
+        nf, npin, n_nodes = self.free.size, self.pinned.size, self.n_nodes
+        jac = jacobian.reshape(k, n_nodes * n_nodes)
+        dv = np.empty_like(residual)
+        # Pinned nodes: straight from the source rows.
+        dv_pinned = self.neg_sign * residual[:, self.branches]
+        dv[:, self.pinned] = dv_pinned
+        # Free nodes: A_ff dv_f = -(r_f + A_fp dv_p).
+        r_free = residual[:, self.free] + np.matmul(
+            jac[:, self.fp_idx].reshape(k, nf, npin), dv_pinned[:, :, None]
+        )[:, :, 0]
+        dv_free, solvable = _solve_stacked(
+            jac[:, self.ff_idx].reshape(k, nf, nf), r_free
+        )
+        dv[:, self.free] = dv_free
+        # Branch currents: back-substitute the pinned nodes' KCL rows,
+        # A_pn dv_n + sign dv_b = -r_p.
+        r_pinned = residual[:, self.pinned] + np.matmul(
+            jac[:, self.pn_idx].reshape(k, npin, n_nodes),
+            dv[:, :n_nodes, None],
+        )[:, :, 0]
+        dv[:, self.branches] = self.neg_sign * r_pinned
+        return dv, solvable
 
 
 def _mosfet_signature(model) -> tuple:
@@ -304,10 +457,10 @@ def structural_fingerprint(circuit) -> Optional[tuple]:
 class PlanStructure:
     """The value-free half of a compiled plan.
 
-    Element classification (slot lists into ``circuit.elements``) plus
-    stacked-group index arrays and scatter programs.  Built once per
-    structural fingerprint and shared by every
-    :class:`CompiledCircuit` bound from it.
+    Element classification (slot lists into ``circuit.elements``), the
+    :class:`_SourcePartition` of the unknowns, and stacked-group index
+    arrays and scatter programs.  Built once per structural fingerprint
+    and shared by every :class:`CompiledCircuit` bound from it.
     """
 
     def __init__(self, circuit):
@@ -334,13 +487,18 @@ class PlanStructure:
                 params = getattr(model, "params", None)
                 if params is None or not dataclasses.is_dataclass(params):
                     raise UnsupportedCircuitError(
-                        "MOSFET model without a dataclass card"
+                        "MOSFET model without a dataclass card",
+                        reason="model_without_card",
                     )
                 mosfet_slots.append(slot)
             else:
                 raise UnsupportedCircuitError(
-                    f"unsupported element {type(element).__name__}"
+                    f"unsupported element {type(element).__name__}",
+                    reason="unsupported_element",
                 )
+        self.partition = _SourcePartition(
+            [circuit.elements[i] for i in self.vsource_slots], self.n_nodes
+        )
 
         # Stacked device groups, keyed by (class, polarity, temperature,
         # derivative mode) in first-appearance order.
@@ -350,7 +508,8 @@ class PlanStructure:
             grouped.setdefault(key, []).append(slot)
         self.mos_group_structures = [
             _MosfetGroupStructure(
-                slots, [circuit.elements[i] for i in slots], self.n
+                slots, [circuit.elements[i] for i in slots], self.n,
+                self.n_nodes,
             )
             for slots in grouped.values()
         ]
@@ -387,7 +546,8 @@ class CompiledCircuit:
             structure = PlanStructure(circuit)
         elif structure.n != n:
             raise UnsupportedCircuitError(
-                "plan structure does not match circuit topology"
+                "plan structure does not match circuit topology",
+                reason="structure_mismatch",
             )
         self.structure = structure
         self.n = structure.n
@@ -400,7 +560,10 @@ class CompiledCircuit:
         self.vsources = [elements[i] for i in structure.vsource_slots]
         self.isources = [elements[i] for i in structure.isource_slots]
 
-        # Constant linear Jacobian: resistor conductances + source pattern.
+        # Constant linear matrix over all unknowns: resistor conductances
+        # + source pattern.  The residual's ``G @ v`` uses all of it; the
+        # Jacobian only its node×node block (the source pattern lives in
+        # the partition).
         lin_batch = ()
         for r in resistors:
             lin_batch = np.broadcast_shapes(
@@ -424,15 +587,19 @@ class CompiledCircuit:
                 if a >= 0 and b >= 0:
                     j_const[..., a, b] += sign
         self.j_const = j_const
+        n_nodes = self.n_nodes
+        self.j_nodes = np.ascontiguousarray(
+            j_const[..., :n_nodes, :n_nodes]
+        ).reshape(lin_batch + (n_nodes * n_nodes,))
 
-        # Constant capacitor charge Jacobian (node space); the transient
-        # folds ``coeff * c_lin`` into the per-step base matrix.
+        # Constant capacitor charge Jacobian (node block, flat); the
+        # transient folds ``coeff * c_lin`` into the per-step base.
         cap_batch = ()
         for c in capacitors:
             cap_batch = np.broadcast_shapes(
                 cap_batch, np.asarray(c.capacitance).shape
             )
-        c_lin = np.zeros(cap_batch + (n, n))
+        c_lin = np.zeros(cap_batch + (n_nodes, n_nodes))
         for cap in capacitors:
             cval = np.asarray(cap.capacitance, dtype=float)
             for a, b, sign in (
@@ -441,7 +608,7 @@ class CompiledCircuit:
             ):
                 if a >= 0 and b >= 0:
                     c_lin[..., a, b] += sign * cval
-        self.c_lin = c_lin
+        self.c_lin = c_lin.reshape(cap_batch + (n_nodes * n_nodes,))
 
         # Bind stacked device groups: structure supplies the indices,
         # this circuit supplies the cards.
@@ -492,54 +659,52 @@ class CompiledCircuit:
             [v, np.zeros(v.shape[:-1] + (1,))], axis=-1
         )
 
-    def _nonlinear(self, v: np.ndarray):
+    def _nonlinear(self, v: np.ndarray, base_jac: np.ndarray):
         """Stacked MOSFET I-V stamps at *v*.
 
-        Returns augmented residual/flat-Jacobian accumulators plus the
-        augmented solution vector for reuse by the charge stamps.
+        Returns the augmented solution vector (for reuse by the charge
+        stamps), the residual accumulator over all unknowns and the flat
+        node×node Jacobian, seeded with the constant *base_jac*.
         """
-        naug = self.n + 1
         batch = v.shape[:-1]
         v_aug = self._augment(v)
-        res_aug = np.zeros(batch + (naug,))
-        jac_flat = np.zeros(batch + (naug * naug,))
+        res = np.zeros(batch + (self.n,))
+        jac_flat = np.empty(batch + base_jac.shape[-1:])
+        jac_flat[...] = base_jac
         for grp in self.mos_groups:
             ids, gm, gds, gms = self.device_iv(grp, v_aug)
             _apply_scatter(
-                res_aug, grp.structure.f_prog,
+                res, grp.structure.f_prog,
                 np.concatenate([ids, -ids], axis=-1),
             )
             _apply_scatter(
                 jac_flat,
-                grp.structure.j_prog,
+                grp.structure.j_node_prog,
                 np.concatenate([gm, gds, gms, -gm, -gds, -gms], axis=-1),
             )
-        return v_aug, res_aug, jac_flat
+        return v_aug, res, jac_flat
 
     @staticmethod
     def device_iv(grp: _MosfetGroup, v_aug: np.ndarray):
         ids, gm, gds, gms = grp.device.ids_and_derivatives(*grp.gather(v_aug))
         return np.broadcast_arrays(ids, gm, gds, gms)
 
-    def _finish(self, v, base_jac, res_aug, jac_flat, b):
-        naug = self.n + 1
-        batch = v.shape[:-1]
-        jac_nl = jac_flat.reshape(batch + (naug, naug))[..., : self.n, : self.n]
-        jacobian = jac_nl + base_jac
-        residual = (
-            res_aug[..., : self.n]
-            + np.matmul(self.j_const, v[..., None])[..., 0]
-            + b
+    def _finish(self, v, res, jac_flat, b):
+        n_nodes = self.n_nodes
+        residual = res + np.matmul(self.j_const, v[..., None])[..., 0] + b
+        return _Assembled(
+            jac_flat.reshape(v.shape[:-1] + (n_nodes, n_nodes)),
+            residual,
+            self.structure.partition.newton_step,
         )
-        return _Assembled(jacobian, residual)
 
     def assemble_dc(self, t: float):
         """DC assembly closure for :func:`repro.circuit.mna.newton_solve`."""
         b = self.source_vector(t)
 
         def assemble(v: np.ndarray) -> _Assembled:
-            _, res_aug, jac_flat = self._nonlinear(v)
-            return self._finish(v, self.j_const, res_aug, jac_flat, b)
+            _, res, jac_flat = self._nonlinear(v, self.j_nodes)
+            return self._finish(v, res, jac_flat, b)
 
         return assemble
 
@@ -566,10 +731,10 @@ class CompiledCircuit:
         current histories (layouts from :meth:`charge_state`).
         """
         b = self.source_vector(t)
-        base_jac = self.j_const + coeff * self.c_lin
+        base_jac = self.j_nodes + coeff * self.c_lin
 
         def assemble(v: np.ndarray) -> _Assembled:
-            v_aug, res_aug, jac_flat = self._nonlinear(v)
+            v_aug, res, jac_flat = self._nonlinear(v, base_jac)
             for k, grp in enumerate(self.charge_groups()):
                 if isinstance(grp, _CapacitorGroup):
                     # Linear Jacobian already folded into base_jac.
@@ -587,13 +752,13 @@ class CompiledCircuit:
                         ),
                         axis=-1,
                     )
-                    _apply_scatter(jac_flat, grp.structure.qj_prog,
+                    _apply_scatter(jac_flat, grp.structure.qj_node_prog,
                                    coeff * cap_vals)
                 i_comp = coeff * (q_new - q_hist[k])
                 if not use_be:
                     i_comp = i_comp - i_hist[k]
-                _apply_scatter(res_aug, grp.structure.qf_prog, i_comp)
-            return self._finish(v, base_jac, res_aug, jac_flat, b)
+                _apply_scatter(res, grp.structure.qf_prog, i_comp)
+            return self._finish(v, res, jac_flat, b)
 
         return assemble
 
@@ -610,11 +775,12 @@ class CompiledCircuit:
 def compile_circuit(
     circuit, structure: Optional[PlanStructure] = None
 ) -> Optional[CompiledCircuit]:
-    """Compile *circuit*, or return None when it contains elements the
-    vectorized engine does not know (callers fall back to the generic
-    per-element assembly).  A pre-built *structure* skips straight to
-    value binding."""
+    """Compile *circuit*, or return None when the vectorized engine
+    cannot plan it (callers fall back to the generic per-element
+    assembly; :func:`record_fallback` counts and warns).  A pre-built
+    *structure* skips straight to value binding."""
     try:
         return CompiledCircuit(circuit, structure)
-    except UnsupportedCircuitError:
+    except UnsupportedCircuitError as error:
+        record_fallback(error)
         return None

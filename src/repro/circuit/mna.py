@@ -1,10 +1,15 @@
 """Batched modified-nodal-analysis assembly and the Newton-Raphson core.
 
-The solver operates on stacked systems: the Jacobian has shape
-``batch + (n, n)`` and the residual ``batch + (n,)``; ``numpy.linalg.solve``
-factorizes all batch members in one call.  Per-sample convergence is
-tracked with a mask so finished samples stop moving while stragglers
-iterate — at no point does Python loop over Monte-Carlo samples.
+The solver operates on stacked systems: the residual has shape
+``batch + (n,)`` over all unknowns, and the assembled system supplies
+its own linear step.  The generic :class:`System` carries the dense
+``batch + (n, n)`` Jacobian and solves it with one batched
+``numpy.linalg.solve`` (the reference path); the compiled engine
+(:mod:`repro.circuit.compiled`) carries only the node×node block and
+eliminates the grounded-source unknowns exactly, factorizing just the
+free-node block.  Per-sample convergence is tracked with a mask so
+finished samples stop moving while stragglers iterate — at no point
+does Python loop over Monte-Carlo samples.
 """
 
 from __future__ import annotations
@@ -33,7 +38,11 @@ class ConvergenceError(RuntimeError):
 
 
 class System:
-    """One Newton iteration's Jacobian and residual accumulator."""
+    """One Newton iteration's Jacobian and residual accumulator.
+
+    The generic (per-element) assembly target, and the reference linear
+    step: :meth:`newton_step` solves the dense system.
+    """
 
     def __init__(self, batch_shape: tuple, n_unknowns: int):
         self.batch_shape = batch_shape
@@ -50,6 +59,16 @@ class System:
         """Accumulate into the Jacobian; ground rows/cols are discarded."""
         if row >= 0 and col >= 0:
             self.jacobian[..., row, col] += value
+
+    @staticmethod
+    def newton_step(jacobian: np.ndarray, residual: np.ndarray):
+        """Newton updates for a stacked selection: ``J dv = -r``, dense.
+
+        *jacobian* ``(k, n, n)`` and *residual* ``(k, n)`` are the
+        gmin-conditioned active rows; returns ``(dv, solvable)`` as
+        :func:`_solve_stacked` does.
+        """
+        return _solve_stacked(jacobian, residual)
 
 
 @dataclass
@@ -88,7 +107,11 @@ def newton_solve(
     ----------
     assemble:
         Callback building the :class:`System` (Jacobian + residual) at a
-        trial solution.  Must already include all element stamps.
+        trial solution.  Must already include all element stamps.  The
+        result may be any object with ``jacobian`` (its first
+        ``n_nodes`` rows/columns are the node unknowns), ``residual``
+        (``batch + (n,)``) and a ``newton_step(jacobian, residual)`` that
+        solves the stacked selection — see :meth:`System.newton_step`.
     v0:
         Initial guess, shape ``batch + (n,)`` (modified copies are used,
         the input is untouched).
@@ -182,12 +205,15 @@ def _newton_inner(
     Returns ``(converged, iterations)`` where *converged* is a boolean
     mask with the batch shape (a 0-d array for unbatched solves).
     Converged samples are frozen; only still-active samples enter the
-    stacked ``np.linalg.solve``, so a handful of stragglers no longer
-    pays the factorization cost of the whole batch.  (Assembly still
-    evaluates the full batch — frozen samples' unknowns are unchanged,
-    so their stamps are recomputed identically; restricting assembly to
-    the active subset would need mask-aware assemble closures for a
-    cost that is secondary to the solve in the workloads here.)
+    system's ``newton_step`` (one stacked ``np.linalg.solve``: the dense
+    ``(k, n, n)`` systems on the generic path, the free-node block after
+    source elimination on the compiled path), so a handful of stragglers
+    no longer pays the factorization cost of the whole batch.  Assembly
+    still evaluates the full batch — frozen samples' unknowns are
+    unchanged, so their stamps are recomputed identically.  With the
+    source unknowns eliminated, assembly and device evaluation are the
+    larger share of an iteration; assembling only the active subset
+    would need mask-aware assemble closures.
 
     *restrict* (optional boolean mask, batch shape) limits the loop to a
     subset of samples; everything outside it is left untouched and
@@ -217,10 +243,11 @@ def _newton_inner(
         jac[..., node_idx, node_idx] += gmin
         res[..., :n_nodes] += gmin * v[..., :n_nodes]
 
-        jac_f = jac.reshape(n_batch, n, n)
+        m = jac.shape[-1]
+        jac_f = jac.reshape(n_batch, m, m)
         res_f = res.reshape(n_batch, n)
         sel = np.flatnonzero(active)
-        dv, solvable = _solve_stacked(jac_f[sel], res_f[sel])
+        dv, solvable = system.newton_step(jac_f[sel], res_f[sel])
         if solvable is not None:
             singular = sel[~solvable]
             failed[singular] = True

@@ -29,7 +29,16 @@ from repro.api import (
 )
 from repro.cells.factory import RecordingFactory, ScalarReplayFactory
 from repro.cells.inverter import InverterSpec, build_inverter_fo
-from repro.circuit import Resistor, UnsupportedCircuitError
+from repro.circuit import (
+    DC,
+    GROUND,
+    Circuit,
+    PlanStructure,
+    Resistor,
+    UnsupportedCircuitError,
+    dc_operating_point,
+)
+from repro.obs import default_registry
 
 RTOL = 1e-9
 
@@ -197,6 +206,10 @@ class TestResultEnvelope:
         assert result.backend == "device"
 
 
+class _OddballResistor(Resistor):
+    """Subclass the compiler does not plan (exact-type matching)."""
+
+
 class TestBackendSelection:
     def _circuit(self, session, n_samples=3, seed_offset=21):
         factory = session.mc_factory(n_samples, seed_offset=seed_offset)
@@ -226,11 +239,8 @@ class TestBackendSelection:
         )
 
     def test_forced_compiled_on_unsupported_netlist_raises(self, session):
-        class OddballResistor(Resistor):
-            """Subclass the compiler does not plan (exact-type matching)."""
-
         circuit, hints = self._circuit(session)
-        circuit.add(OddballResistor(circuit.node("out"), -1, 1e9, "RX"))
+        circuit.add(_OddballResistor(circuit.node("out"), -1, 1e9, "RX"))
         with pytest.raises(UnsupportedCircuitError):
             session.run(DCOp(node_hints=hints, backend="compiled"), circuit)
         # The per-spec override must not leak onto the circuit: direct
@@ -242,6 +252,99 @@ class TestBackendSelection:
         # auto falls back to the generic path through the session too.
         result = session.run(DCOp(node_hints=hints), circuit)
         assert result.backend == "generic"
+
+
+def _custom_element_netlist():
+    ckt = Circuit("custom_element")
+    ckt.add_vsource("a", GROUND, DC(1.0), name="V1")
+    ckt.add(_OddballResistor(ckt.node("a"), ckt.node("b"), 1e3, "RX"))
+    ckt.add_resistor("b", GROUND, 1e3, name="R2")
+    return ckt
+
+
+def _floating_source_netlist():
+    ckt = Circuit("floating_source")
+    ckt.add_vsource("a", GROUND, DC(1.0), name="V1")
+    ckt.add_vsource("b", "a", DC(0.5), name="V2")
+    ckt.add_resistor("b", GROUND, 1e3, name="R1")
+    return ckt
+
+
+def _fallbacks(reason: str) -> float:
+    family = default_registry().snapshot().get(
+        "repro_compile_fallbacks_total")
+    if not family:
+        return 0.0
+    return sum(series["value"] for series in family["series"]
+               if series["labels"] == {"reason": reason})
+
+
+class TestCompileFallbacks:
+    """Every generic-backend fallback is counted and warned about."""
+
+    CASES = [(_custom_element_netlist, "unsupported_element"),
+             (_floating_source_netlist, "floating_source")]
+
+    @pytest.fixture()
+    def warnings_seen(self, monkeypatch):
+        import logging
+
+        from repro.circuit import compiled
+
+        monkeypatch.setattr(compiled, "_FALLBACK_WARNED", set())
+        records = []
+        handler = logging.Handler(level=logging.WARNING)
+        handler.emit = records.append
+        logger = logging.getLogger("repro.circuit.compiled")
+        logger.addHandler(handler)
+        yield records
+        logger.removeHandler(handler)
+
+    @pytest.mark.parametrize("shared_cache", [False, True])
+    @pytest.mark.parametrize("build,reason", CASES)
+    def test_fallback_counted_and_still_generic(self, build, reason,
+                                                shared_cache, warnings_seen):
+        reference = build()
+        reference.set_backend("generic")
+        expected = dc_operating_point(reference)
+
+        before = {r: _fallbacks(r) for _, r in self.CASES}
+        for _ in range(2):
+            ckt = build()
+            if shared_cache:
+                ckt.plan_cache = PlanCache()
+            assert ckt.compiled() is None
+            np.testing.assert_array_equal(dc_operating_point(ckt), expected)
+        for _, other in self.CASES:
+            bumped = 2.0 if other == reason else 0.0
+            assert _fallbacks(other) == before[other] + bumped
+        # One structured warning per reason per process.
+        assert [r.getMessage() for r in warnings_seen] == ["compile.fallback"]
+        assert warnings_seen[0].event_fields["reason"] == reason
+
+    @pytest.mark.parametrize("build,reason", CASES)
+    def test_forced_generic_is_not_a_fallback(self, build, reason,
+                                              warnings_seen):
+        before = _fallbacks(reason)
+        ckt = build()
+        ckt.set_backend("generic")
+        dc_operating_point(ckt)
+        assert _fallbacks(reason) == before
+        assert warnings_seen == []
+
+    @pytest.mark.parametrize("second,reason", [
+        (("b", "a"), "floating_source"),
+        ((GROUND, GROUND), "floating_source"),
+        ((GROUND, "a"), "node_pinned_twice"),
+    ])
+    def test_unplannable_source_topologies(self, second, reason):
+        ckt = Circuit()
+        ckt.add_vsource("a", GROUND, DC(1.0), name="V1")
+        ckt.add_vsource(*second, DC(0.5), name="V2")
+        ckt.add_resistor("b", GROUND, 1e3, name="R1")
+        with pytest.raises(UnsupportedCircuitError) as info:
+            PlanStructure(ckt)
+        assert info.value.reason == reason
 
 
 class TestPlanCache:

@@ -463,7 +463,10 @@ class TestBitIdentity:
 class TestFaultMatrix:
     def test_worker_killed_mid_wave(self, technology, golden, family):
         # The first lease dispatch permanently stops that worker; its
-        # shards must be stolen by the survivor.
+        # shards must be stolen by the survivor.  The hook runs after
+        # the lease frame went out, so the worker could still answer
+        # before its connection drops; kill_leases voids that lease on
+        # the coordinator's loop first, before any result can apply.
         killed = []
 
         def kill_first(worker, lease):
@@ -471,7 +474,7 @@ class TestFaultMatrix:
                 killed.append(worker.name)
                 agents_by_name[worker.name].stop(timeout=0)
 
-        faults = ScriptedFaults(on_dispatch_hook=kill_first)
+        faults = ScriptedFaults(kill_leases=1, on_dispatch_hook=kill_first)
         retries_before = _counter_total("repro_cluster_retries_total")
         with _cluster(2, names=["w0", "w1"], faults=faults) as (executor,
                                                                 agents):
