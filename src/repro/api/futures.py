@@ -151,10 +151,7 @@ class RunHandle(RunObserver):
     def _truncated(envelope) -> bool:
         """Whether a returned envelope is a cancel-truncated partial."""
         runtime = getattr(envelope, "runtime", None)
-        if runtime is not None and getattr(runtime, "stop_reason", None) == CANCELLED:
-            return True
-        meta = getattr(envelope, "meta", None) or {}
-        return meta.get("stop_reason") == CANCELLED
+        return getattr(runtime, "stop_reason", None) == CANCELLED
 
     # ------------------------------------------------------------------
     # Observer protocol (called on the driver thread).

@@ -77,11 +77,12 @@ class Result:
     wall_time_s: float = 0.0
     #: Registry name when the run came through an ``@experiment`` entry.
     experiment: Optional[str] = None
-    #: Shard/worker execution metadata when the run went through the
-    #: parallel runtime (a :class:`repro.runtime.RuntimeInfo`): executor
-    #: kind, worker count, shard partition, shards actually run, early
-    #: stopping, checkpoint resume.  ``None`` for circuit specs and the
-    #: serial characterization walk, which bypass the runtime.
+    #: Shard/worker execution metadata of the wave runner (a
+    #: :class:`repro.runtime.RuntimeInfo`): executor kind, worker count,
+    #: shard partition, shards actually run, early stopping, checkpoint
+    #: resume, and the telemetry digest of traced sessions.  Every
+    #: statistical spec and characterization carries it, serial runs
+    #: included; ``None`` for circuit specs and registry experiments.
     runtime: Optional[Any] = None
     #: Free-form extras (plan-cache statistics, engine diagnostics...).
     meta: Dict[str, Any] = field(default_factory=dict)
@@ -134,8 +135,9 @@ class SweepResult:
     seed: Optional[int] = None
     #: Wall-clock duration of the whole sweep [s].
     wall_time_s: float = 0.0
-    #: Sweep-level runtime metadata when points fanned out as shard
-    #: tasks (a :class:`repro.runtime.RuntimeInfo` counting *points*).
+    #: Sweep-level runtime metadata (a :class:`repro.runtime.RuntimeInfo`
+    #: counting *points*; a serial sweep runs one point per shard on the
+    #: serial executor), with the telemetry digest of traced sessions.
     runtime: Optional[Any] = None
     #: Free-form extras.
     meta: Dict[str, Any] = field(default_factory=dict)

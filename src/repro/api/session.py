@@ -468,9 +468,9 @@ class Session:
     def _attach_telemetry(self, result, mark: int):
         """Merge the run's telemetry digest into ``result.runtime``.
 
-        Only runtime-routed envelopes (``runtime`` not ``None``) can
-        carry telemetry; circuit specs and the serial sweep and
-        characterization walks expose it through the live
+        Every statistical spec, sweep and characterization runs through
+        the wave runner and carries telemetry; circuit specs
+        (``runtime`` is ``None``) expose it through the live
         :attr:`tracer`/:attr:`metrics` objects instead.  The digest
         lives *inside* ``RuntimeInfo`` — never in ``meta`` — because
         ``scrub_envelope`` nulls ``runtime`` wholesale, which is what
@@ -768,13 +768,13 @@ class Session:
                           inherit_execution: bool = True) -> Result:
         """Library characterization: the (cell x slew x load) grid workload.
 
-        Serial (``execution=None``) walks the grid in index order; with
-        execution options grid points fan out as shard tasks.  Both
-        paths draw point *k*'s Monte-Carlo stream from
-        ``SeedSequence(base_seed, spawn_key=(k,))`` — the grid-point
-        seed contract — so the tables are identical at every worker
-        count and bit-identical to the serial run.  Under sweep point
-        *j* the grid nests one level deeper: ``spawn_key=(j, k)``.
+        Grid points fan out as shard tasks through the wave runner on
+        :meth:`executor_for` (``execution=None``: the serial executor,
+        one point per shard).  Point *k* draws its Monte-Carlo stream
+        from ``SeedSequence(base_seed, spawn_key=(k,))`` — the
+        grid-point seed contract — so the tables are bit-identical at
+        every worker count and shard size.  Under sweep point *j* the
+        grid nests one level deeper: ``spawn_key=(j, k)``.
         """
         from repro.charlib.arcs import get_adapter
         from repro.charlib.characterize import DEFAULT_LOADS, DEFAULT_SLEWS
@@ -804,11 +804,11 @@ class Session:
             spawn_prefix=spawn_prefix,
         )
         execution = self._spec_execution(spec, inherit_execution)
-        executor = self.executor_for(execution) if execution is not None else None
 
         start = time.perf_counter()
         points, info = run_characterization(
-            task, execution=execution, executor=executor, observer=observer
+            task, self.executor_for(execution), execution=execution,
+            observer=observer,
         )
         library, diagnostics = assemble_library(task, points, name=library_name)
         elapsed = time.perf_counter() - start

@@ -492,8 +492,9 @@ class _CharacterizeBase(AnalysisSpec):
     model: str = field(default="vs", kw_only=True)
     seed_offset: int = field(default=0, kw_only=True)
     backend: Optional[str] = field(default=None, kw_only=True)
-    #: Sharding/parallelism options; stopping/checkpointing do not apply
-    #: to a fixed grid and are ignored.
+    #: Sharding/parallelism options.  A fixed grid has no stopping rule
+    #: and does not checkpoint; ``checkpoint`` is accepted (the analysis
+    #: service injects one into every job) and ignored.
     execution: Optional[Execution] = field(default=None, kw_only=True)
 
     def __post_init__(self):
@@ -507,6 +508,11 @@ class _CharacterizeBase(AnalysisSpec):
             raise ValueError(f"model must be 'vs' or 'bsim', got {self.model!r}")
         _check_backend(self.backend)
         _check_execution(self.execution)
+        if self.execution is not None and (
+                self.execution.target_rel_err is not None
+                or self.execution.max_samples is not None):
+            raise ValueError("stopping options (target_rel_err, max_samples)"
+                             " do not apply to a characterization grid")
 
     @staticmethod
     def _check_cell(cell) -> None:

@@ -11,32 +11,32 @@ cartesian grid; this module is the orchestration behind
   ``spawn_key=(j, i)``.
 
 * :class:`SweepPointTask` is the picklable shard task: a shard covers a
-  contiguous flat range of grid points, each evaluated through a
-  worker-local :class:`~repro.api.session.Session` (process plan cache,
-  same root seed/backend policy as the parent).  Because every point
-  owns its stream, sweep output is **bit-identical at every worker
-  count and every sweep shard size** — shard size is scheduling
-  granularity only, like the PR-4 characterization grid.
+  contiguous flat range of grid points, each evaluated on the
+  submitting session in its process and through a worker-local
+  :class:`~repro.api.session.Session` in pool and cluster workers.
+  Because every point owns its stream, sweep output is
+  **bit-identical at every worker count and every sweep shard size** —
+  shard size is scheduling granularity only, like the PR-4
+  characterization grid.
 
 * :class:`SweepAccumulator` folds completed point results for the stop
   rule (``max_samples`` = point cap), checkpoint/resume at point-wave
   boundaries, and the futures' ``partial()`` snapshots.
 
-:func:`run_sweep` ties them together and assembles the
-:class:`~repro.api.result.SweepResult` envelope.
+:func:`run_sweep` runs every sweep, serial ones included, through the
+wave runner and assembles the :class:`~repro.api.result.SweepResult`.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
 from repro.api.result import SweepResult
 from repro.api.seeding import SeedScope
 from repro.api.specs import Sweep, sweep_point_offset
 from repro.runtime.runner import (
-    CANCELLED,
     RunObserver,
     run_sharded,
     stop_rule_for_execution,
@@ -120,40 +120,47 @@ class SweepAccumulator:
 
 @dataclass(frozen=True)
 class SweepPointTask:
-    """Picklable shard task over a sweep's flat point range."""
+    """Picklable shard task over a sweep's flat point range.
+
+    In-process shards run their points on *session*, the submitting
+    one.  Pickling drops it (like ``FactoryMapTask``'s plan cache), so
+    pool and cluster workers build a worker-local session and pin each
+    point to one worker, and checkpoint fingerprints never see it.
+    """
 
     technology: object
     sweep: Sweep
     root_seed: int
     backend: str
+    session: object = field(default=None, compare=False, repr=False)
 
-    def _session(self):
-        from repro.api.session import Session
-        from repro.runtime.tasks import _process_plan_cache
-
-        return Session(
-            technology=self.technology,
-            seed=self.root_seed,
-            backend=self.backend,
-            plan_cache=_process_plan_cache(),
-        )
-
-    def measure_index(self, index: int, session=None):
-        """Evaluate flat grid point *index* (any process, any order)."""
-        session = session if session is not None else self._session()
-        base_seed = sweep_point_offset(self.root_seed,
-                                       self.sweep.spec.seed_offset)
-        spec, scope = resolve_point(self.sweep, index, base_seed)
-        return session._execute(
-            _pin_point_workers(spec), scope=scope, inherit_execution=False
-        )
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        del state["session"]
+        return state
 
     def __call__(self, shard) -> Tuple:
-        session = self._session()
-        return tuple(
-            self.measure_index(k, session)
-            for k in range(shard.start, shard.stop)
-        )
+        session = self.session
+        if session is None:
+            from repro.api.session import Session
+            from repro.runtime.tasks import _process_plan_cache
+
+            session = Session(
+                technology=self.technology,
+                seed=self.root_seed,
+                backend=self.backend,
+                plan_cache=_process_plan_cache(),
+            )
+        base_seed = sweep_point_offset(self.root_seed,
+                                       self.sweep.spec.seed_offset)
+        results = []
+        for index in range(shard.start, shard.stop):
+            spec, scope = resolve_point(self.sweep, index, base_seed)
+            if self.session is None:
+                spec = _pin_point_workers(spec)
+            results.append(session._execute(spec, scope=scope,
+                                            inherit_execution=False))
+        return tuple(results)
 
 
 class _PointProgress(RunObserver):
@@ -180,85 +187,60 @@ def run_sweep(
 ) -> SweepResult:
     """Run every grid point of *sweep* through *session*.
 
-    ``execution=None`` (and no session default) walks the flat grid in
-    index order in-process; with execution options points fan out as
-    shards of ``execution.shard_size`` points each (default 1).  Both
-    paths draw each point's streams per the sweep seed contract, so the
+    Points fan out through the wave runner as shards of
+    ``execution.shard_size`` points each (default 1) on
+    ``session.executor_for(execution)`` — with ``execution=None`` (and
+    no session default) that is the serial executor, in index order.
+    Every point draws its streams per the sweep seed contract, so the
     envelope is bit-identical regardless of scheduling.
     """
     execution = sweep.execution
-    points_per_shard = None
+    points_per_shard = getattr(execution, "shard_size", None) or 1
     if execution is None and inherit_execution:
         # Inherit only the session's *parallelism*.  The session-default
         # shard size (CLI --shard-size) is sample granularity for
         # statistical runs; adopting it as points-per-shard would fold
         # a small grid into one shard and silently serialize the sweep.
         execution = session.default_execution()
-        points_per_shard = 1
-    if execution is not None and points_per_shard is None:
-        points_per_shard = execution.shard_size or 1
     base_seed = sweep_point_offset(session.seed, sweep.spec.seed_offset)
     n_points = sweep.n_points
     meta = {"seed_mode": sweep.seed_mode, "grid_shape": sweep.shape}
 
     start = time.perf_counter()
-    if execution is None:
-        accumulator = SweepAccumulator()
-        results = accumulator.results
-        if observer is not None:
-            observer.on_progress(0, n_points, accumulator, unit="points")
-        cancelled = False
-        for index in range(n_points):
-            if observer is not None and index > 0 and observer.should_cancel():
-                cancelled = True
-                break
-            spec, scope = resolve_point(sweep, index, base_seed)
-            results.append(
-                session._execute(spec, scope=scope, inherit_execution=False)
-            )
-            if observer is not None:
-                observer.on_progress(index + 1, n_points, accumulator,
-                                     unit="points")
-        info = None
-        if cancelled:
-            meta["stop_reason"] = CANCELLED
-    else:
-        # The task embeds the sweep MINUS its execution options: those
-        # are scheduling, not workload, and the checkpoint fingerprint
-        # (a hash of the pickled task) must let a resume run under a
-        # different cap/worker count adopt the same state.
-        task = SweepPointTask(
-            technology=session.technology,
-            sweep=replace(sweep, execution=None),
-            root_seed=session.seed,
-            backend=session.backend,
-        )
-        plan = plan_shards(n_points, points_per_shard, base_seed)
-        run = run_sharded(
-            task,
-            plan,
-            session.executor_for(execution),
-            accumulator=SweepAccumulator(),
-            accumulate=lambda acc, payload: acc.update(payload),
-            stop=stop_rule_for_execution(execution, "sigma"),
-            wave_size=execution.wave_size,
-            checkpoint_path=execution.checkpoint,
-            observer=(
-                _PointProgress(observer, n_points)
-                if observer is not None else None
-            ),
-        )
-        results = list(run.accumulator.results)
-        info = run.info
-        if info.stop_reason is not None:
-            meta["stop_reason"] = info.stop_reason
+    # The task embeds the sweep MINUS its execution options: those are
+    # scheduling, not workload, and the checkpoint fingerprint (a hash
+    # of the pickled task) must let a resume run under a different
+    # cap/worker count adopt the same state.
+    task = SweepPointTask(
+        technology=session.technology,
+        sweep=replace(sweep, execution=None),
+        root_seed=session.seed,
+        backend=session.backend,
+        session=session,
+    )
+    run = run_sharded(
+        task,
+        plan_shards(n_points, points_per_shard, base_seed),
+        session.executor_for(execution),
+        accumulator=SweepAccumulator(),
+        accumulate=lambda acc, payload: acc.update(payload),
+        stop=stop_rule_for_execution(execution, "sigma"),
+        wave_size=getattr(execution, "wave_size", None),
+        checkpoint_path=getattr(execution, "checkpoint", None),
+        observer=(
+            _PointProgress(observer, n_points)
+            if observer is not None else None
+        ),
+    )
+    if run.info.stop_reason is not None:
+        meta["stop_reason"] = run.info.stop_reason
     elapsed = time.perf_counter() - start
 
     return SweepResult(
         spec=sweep,
-        points=tuple(results),
+        points=tuple(run.accumulator.results),
         seed=base_seed,
         wall_time_s=elapsed,
-        runtime=info,
+        runtime=run.info,
         meta=meta,
     )

@@ -111,8 +111,8 @@ class InverterArcs(ArcAdapter):
     """The legacy hard-wired inverter testbench, as an adapter.
 
     ``measure_point`` delegates to the original ``_measure_point`` so
-    every path — `characterize_cell`, the serial spec run, the sharded
-    grid — produces bit-identical numbers.
+    `characterize_cell` and every ``Characterize`` run — serial or
+    sharded — produce bit-identical numbers.
     """
 
     spec: InverterSpec = InverterSpec(600.0, 300.0)

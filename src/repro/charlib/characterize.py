@@ -12,9 +12,10 @@ SSTA (:mod:`repro.ssta`).
 Which arcs a cell has, and how one grid point is measured, is the
 business of a per-cell **arc adapter** (:mod:`repro.charlib.arcs`); this
 module holds the measurement primitives, the :class:`CellTiming` table
-container, and the serial nominal path (`characterize_arcs` /
-`characterize_cell`).  The parallel grid workload lives in
-:mod:`repro.charlib.workload` and runs through ``Session.run``.
+container, and the nominal helpers `characterize_arcs` /
+`characterize_cell`, which measure each point with the grid workload
+(:mod:`repro.charlib.workload`, behind ``Session.run``) on the
+caller's factory and fold its tables the same way.
 """
 
 from __future__ import annotations
@@ -162,49 +163,29 @@ def characterize_arcs(
 
     *adapter* is any :class:`repro.charlib.arcs.ArcAdapter`; the factory
     must be nominal (statistical grids run through the
-    ``Characterize`` / ``CharacterizeLibrary`` specs and the parallel
-    workload instead).  A grid point whose measurement is non-finite
-    raises :class:`CharacterizationError` naming the arc and point.
+    ``Characterize`` / ``CharacterizeLibrary`` specs instead).  Each
+    point is the grid workload's own measurement
+    (:meth:`~repro.charlib.workload.CharGridTask.measure_index`) on
+    *factory*, folded by :func:`~repro.charlib.workload.assemble_library`
+    — so the tables are bit-identical to a nominal ``Characterize`` run.
+    A grid point whose measurement is non-finite raises
+    :class:`CharacterizationError` naming the arc and point.
     """
+    from repro.charlib.workload import CharGridTask, assemble_library
+
     if factory.batch_shape:
         raise ValueError(
             "characterize_arcs is the nominal path; run Monte-Carlo "
             "characterization through the Characterize spec"
         )
-    slews = np.asarray(slews, dtype=float)
-    loads = np.asarray(loads, dtype=float)
-    arc_names = [arc.name for arc in adapter.arcs]
-    delay_tables = {a: np.zeros((slews.size, loads.size)) for a in arc_names}
-    tran_tables = {a: np.zeros((slews.size, loads.size)) for a in arc_names}
-
-    for i, slew in enumerate(slews):
-        for j, load in enumerate(loads):
-            point = adapter.measure_point(factory, vdd, slew, load)
-            for arc in arc_names:
-                d, s = point[arc]
-                d = float(np.asarray(d).squeeze())
-                s = float(np.asarray(s).squeeze())
-                if not (np.isfinite(d) and np.isfinite(s)):
-                    raise CharacterizationError(
-                        f"{adapter.name} arc {arc!r} never crossed its "
-                        f"thresholds at slew={slew:.3g} s, load={load:.3g} F "
-                        f"(delay={d}, transition={s})"
-                    )
-                delay_tables[arc][i, j] = d
-                tran_tables[arc][i, j] = s
-
-    return CellTiming(
-        name=adapter.name,
-        vdd=vdd,
-        delay={
-            a: LookupTable2D(slews, loads, delay_tables[a]) for a in arc_names
-        },
-        transition={
-            a: LookupTable2D(slews, loads, tran_tables[a]) for a in arc_names
-        },
-        arcs=tuple(adapter.arcs),
-        liberty=adapter.liberty,
+    task = CharGridTask(
+        technology=None, adapters=(adapter,), vdd=vdd,
+        slews=tuple(float(s) for s in slews),
+        loads=tuple(float(c) for c in loads),
     )
+    points = [task.measure_index(k, factory) for k in range(task.n_points)]
+    library, _ = assemble_library(task, points)
+    return library.cells[0]
 
 
 def characterize_cell(

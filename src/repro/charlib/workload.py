@@ -25,7 +25,8 @@ module turns the grid into the runtime's vocabulary:
   non-finite samples dropped and counted as diagnostics.
 
 :func:`run_characterization` is the orchestration entry ``Session.run``
-uses; :func:`assemble_library` folds the ordered point results into
+uses — every grid, serial ones included, runs through the wave runner;
+:func:`assemble_library` folds the ordered point results into
 :class:`~repro.charlib.characterize.CellTiming` tables and a
 :class:`LibraryTiming`.
 """
@@ -149,12 +150,19 @@ class CharGridTask:
             factory.backend = self.backend
         return factory
 
-    def measure_index(self, point_index: int) -> GridPointResult:
-        """Evaluate flat grid point *point_index* (any process, any order)."""
+    def measure_index(self, point_index: int,
+                      factory=None) -> GridPointResult:
+        """Evaluate flat grid point *point_index* (any process, any order).
+
+        *factory* replaces the point's own factory — the nominal
+        :func:`~repro.charlib.characterize.characterize_arcs` path
+        measures every point on its caller's factory.
+        """
         cell_index, rest = divmod(point_index, self.points_per_cell)
         i_slew, j_load = divmod(rest, len(self.loads))
         adapter = self.adapters[cell_index]
-        factory = self._factory(point_index)
+        if factory is None:
+            factory = self._factory(point_index)
         point = adapter.measure_point(
             factory, self.vdd, self.slews[i_slew], self.loads[j_load]
         )
@@ -206,39 +214,23 @@ class LibraryTiming:
         return write_liberty(self.cells, library_name=library_name or self.name)
 
 
-def run_characterization(task: CharGridTask, execution=None, executor=None,
+def run_characterization(task: CharGridTask, executor, execution=None,
                          observer=None):
-    """Evaluate the whole grid, serially or through the sharded runtime.
+    """Evaluate the whole grid through the wave runner on *executor*.
 
-    ``execution=None`` walks the flat grid in index order in-process —
-    and because every point owns its stream, the result is bit-identical
-    to any sharded run.  With execution options, grid points fan out as
-    shards of ``execution.shard_size`` points each (default 1: one
-    transient per shard task).  Adaptive stopping / checkpointing do not
-    apply to a fixed grid and are ignored.  *observer* (a
-    :class:`~repro.runtime.runner.RunObserver`) sees per-point progress
-    on the serial walk and per-wave progress on the sharded one.
+    Grid points fan out as shards of ``execution.shard_size`` points
+    each (default 1, and always 1 for ``execution=None``: one transient
+    per shard task).  Because every point owns its stream, the tables
+    are bit-identical at every worker count and shard size.  A fixed
+    grid neither stops early nor checkpoints.  *observer* (a
+    :class:`~repro.runtime.runner.RunObserver`) sees per-wave progress
+    and may cancel at a wave boundary.
 
-    Returns ``(points, RuntimeInfo-or-None)`` with *points* in flat grid
-    order.
+    Returns ``(points, RuntimeInfo)`` with *points* in flat grid order.
     """
-    if execution is None:
-        points = []
-        if observer is not None:
-            observer.on_progress(0, task.n_points, None)
-        for k in range(task.n_points):
-            points.append(task.measure_index(k))
-            if observer is not None:
-                observer.on_progress(k + 1, task.n_points, None)
-        return points, None
-
     shard_size = getattr(execution, "shard_size", None) or 1
     plan = plan_shards(task.n_points, shard_size, task.base_seed,
                        spawn_prefix=task.spawn_prefix)
-    if executor is None:
-        from repro.runtime.executors import resolve_executor
-
-        executor = resolve_executor(getattr(execution, "workers", 1))
     run = run_sharded(task, plan, executor, observer=observer)
     points = [point for payload in run.payloads for point in payload]
     return points, run.info

@@ -69,6 +69,7 @@ from repro.cluster.wire import (
 from repro.obs import default_registry
 from repro.obs.trace import current_tracer, event, span
 from repro.runtime.executors import Executor, SerialExecutor, _SHARD_SECONDS
+from repro.runtime.executors import record_degradation
 from repro.runtime.sharding import Shard
 
 __all__ = [
@@ -584,6 +585,7 @@ class ClusterExecutor(Executor):
                         f"task not picklable ({type(exc).__name__}: {exc})",
                         None, None,
                     )
+                    record_degradation(self.kind)
             self._local.probed = probed
         self._local.degraded = probed[1]
         if probed[1] is not None:

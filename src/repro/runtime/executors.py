@@ -11,7 +11,8 @@ One tiny protocol — ``map_shards(task, shards)`` returns the list of
   cross the process boundary by pickling, so tasks are plain top-level
   dataclasses (see :mod:`repro.runtime.tasks`).  If a task turns out
   unpicklable (e.g. a closure metric), the executor degrades to serial
-  execution for that call and records why — the shard/seed contract
+  execution for that call and records why (:func:`record_degradation`
+  counts it) — the shard/seed contract
   guarantees the results are identical either way, so degrading is
   always safe.
 
@@ -22,6 +23,7 @@ completion order and worker count.
 
 from __future__ import annotations
 
+import logging
 import os
 import pickle
 import threading
@@ -29,11 +31,12 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
-from repro.obs import default_registry
+from repro.obs import default_registry, get_logger, log_event
 from repro.obs.trace import current_tracer, span
 from repro.runtime.sharding import Shard
 
-__all__ = ["Executor", "SerialExecutor", "ParallelExecutor", "resolve_executor"]
+__all__ = ["Executor", "SerialExecutor", "ParallelExecutor",
+           "record_degradation", "resolve_executor"]
 
 _REGISTRY = default_registry()
 _SHARDS = _REGISTRY.counter(
@@ -46,6 +49,30 @@ _PICKLE_BYTES = _REGISTRY.counter(
     "repro_task_pickle_bytes_total",
     "Task bytes serialized across the process boundary",
 )
+_LOG = get_logger("runtime.executors")
+_DEGRADATION_WARNED: set = set()
+_DEGRADATION_LOCK = threading.Lock()
+
+
+def record_degradation(executor_kind: str) -> None:
+    """Make one serial degradation of a parallel executor visible.
+
+    Counts it in ``repro_executor_degradations_total{executor}`` and
+    logs one structured ``executor.degraded`` warning per executor kind
+    per process.  The reason text stays in ``Result.runtime.degraded``
+    (it names the task, so as a label it would grow without bound).
+    """
+    default_registry().counter(
+        "repro_executor_degradations_total",
+        "Parallel runs degraded to in-process serial execution",
+        labels={"executor": executor_kind},
+    ).inc()
+    with _DEGRADATION_LOCK:
+        first = executor_kind not in _DEGRADATION_WARNED
+        _DEGRADATION_WARNED.add(executor_kind)
+    if first:
+        log_event(_LOG, "executor.degraded", level=logging.WARNING,
+                  executor=executor_kind)
 
 
 def _run_shard(task: Callable, shard: Shard) -> Tuple[int, object]:
@@ -260,6 +287,7 @@ class ParallelExecutor(Executor):
                         f"task not picklable ({type(exc).__name__}: {exc})",
                         0,
                     )
+                    record_degradation(self.kind)
             self._local.probed = probed
         self._local.degraded = probed[1]
         if probed[1] is not None:

@@ -3,8 +3,10 @@
 Covers the grid-point shard contract (tables identical at 1 and 4
 workers and across shard sizes), serial bit-identity with the legacy
 `characterize_cell`, multi-cell Liberty export consumed by the reader,
-Monte-Carlo sigma tables + dropped-sample diagnostics, and the
-table-driven SSTA loop (`TableDelay` arcs inside `ssta_low_vdd`).
+Monte-Carlo sigma tables + dropped-sample diagnostics, the table-driven
+SSTA loop (`TableDelay` arcs inside `ssta_low_vdd`), and the serial
+grid as a runner plan (runtime metadata, wave-boundary cancellation,
+rejected stopping options).
 """
 
 from dataclasses import dataclass
@@ -12,10 +14,17 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from repro.api import Characterize, CharacterizeLibrary, Execution, Session
+from repro.api import (
+    Characterize,
+    CharacterizeLibrary,
+    Execution,
+    RunCancelled,
+    Session,
+)
 from repro.cells import NominalDeviceFactory
 from repro.charlib import characterize_cell, parse_liberty
 from repro.charlib.arcs import Arc, ArcAdapter, LibertyCell
+from repro.runtime import RunObserver
 
 SLEWS = (5e-12, 20e-12)
 LOADS = (1e-15, 4e-15)
@@ -59,6 +68,20 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="at least one cell"):
             CharacterizeLibrary(cells=())
 
+    @pytest.mark.parametrize("option", [{"target_rel_err": 0.05},
+                                        {"max_samples": 4}])
+    def test_stopping_options_rejected(self, option):
+        with pytest.raises(ValueError, match="characterization grid"):
+            Characterize(execution=Execution(**option))
+        with pytest.raises(ValueError, match="characterization grid"):
+            CharacterizeLibrary(execution=Execution(workers=2, **option))
+
+    def test_service_checkpoint_still_accepted(self, tmp_path):
+        # The analysis service injects a checkpoint prefix into every
+        # job; a fixed grid ignores it rather than refusing the job.
+        execution = Execution(workers=1, checkpoint=str(tmp_path / "ck"))
+        assert Characterize(execution=execution).execution == execution
+
     def test_requires_no_circuit(self, session):
         from repro.circuit import Circuit
 
@@ -83,7 +106,9 @@ class TestSerialPath:
                 result.payload.transition[arc].values,
                 legacy.transition[arc].values,
             )
-        assert result.runtime is None
+        assert (result.runtime.executor, result.runtime.workers,
+                result.runtime.shard_size, result.runtime.n_shards) == (
+                    "serial", 1, 1, 2)
         assert result.payload.delay_sigma is None
         assert result.meta["grid_points"] == 2
         assert result.meta["diagnostics"] == {}
@@ -124,7 +149,8 @@ class TestGridPointShardContract:
         _assert_cells_equal(runs["w1s1"].payload, runs["w1s2"].payload)
 
     def test_sharded_matches_unsharded_serial(self, runs):
-        assert runs["unsharded"].runtime is None
+        assert runs["unsharded"].runtime.executor == "serial"
+        assert runs["unsharded"].runtime.n_shards == 2
         _assert_cells_equal(runs["unsharded"].payload, runs["w1s1"].payload)
 
 
@@ -229,3 +255,54 @@ class TestTableDrivenSSTA:
 
         with pytest.raises(ValueError, match="arc_source"):
             ssta_low_vdd.run(arc_source="liberty", session=session)
+
+
+class _CancelAfterFirstProgress(RunObserver):
+    """Requests cancellation from its first progress callback on."""
+
+    def __init__(self):
+        self.calls = []
+
+    def on_progress(self, done, total, accumulator=None, unit="shards"):
+        self.calls.append((done, total))
+
+    def should_cancel(self) -> bool:
+        return bool(self.calls)
+
+
+class TestSerialCancellation:
+    """A serial grid is a runner plan: cancel lands on a wave boundary."""
+
+    SPEC = Characterize(cell=_HalfDead(), n_mc=4,
+                        slews=(1e-12, 2e-12, 3e-12, 4e-12, 5e-12),
+                        loads=(1e-15, 2e-15, 3e-15, 4e-15, 5e-15, 6e-15))
+
+    def test_observer_cancel_stops_at_the_first_wave_boundary(self, session):
+        observer = _CancelAfterFirstProgress()
+        result = session._execute(self.SPEC, observer=observer)
+        runtime = result.runtime
+        assert (runtime.executor, runtime.workers, runtime.n_shards) == (
+            "serial", 1, 30)
+        assert runtime.stop_reason == "cancelled" and runtime.stopped_early
+        assert 0 < runtime.shards_run < 30
+        # One wave ran: the start callback, then the boundary it
+        # stopped at.
+        assert observer.calls == [(0, 30), (runtime.shards_run, 30)]
+        finite = np.isfinite(result.payload.delay["tphl"].values)
+        assert finite.sum() == runtime.shards_run
+
+    def test_submit_result_raises_run_cancelled(self, session, monkeypatch):
+        from repro.api import futures
+
+        class CancelOnFirstProgress(futures.RunHandle):
+            def on_progress(self, *args, **kwargs):
+                super().on_progress(*args, **kwargs)
+                self.cancel()
+
+        monkeypatch.setattr(futures, "RunHandle", CancelOnFirstProgress)
+        handle = session.submit(self.SPEC)
+        with pytest.raises(RunCancelled) as excinfo:
+            handle.result(timeout=120.0)
+        truncated = excinfo.value.partial
+        assert truncated.runtime.stop_reason == "cancelled"
+        assert 0 < truncated.runtime.shards_run < 30

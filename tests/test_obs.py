@@ -15,7 +15,14 @@ import re
 import numpy as np
 import pytest
 
-from repro.api import Execution, MonteCarlo, Session, Sweep, Yield
+from repro.api import (
+    Characterize,
+    Execution,
+    MonteCarlo,
+    Session,
+    Sweep,
+    Yield,
+)
 from repro.api.serialize import dumps
 from repro.obs import (
     MetricsRegistry,
@@ -326,6 +333,13 @@ def _sweep_spec(workers=None):
     return Sweep(_mc_spec(workers), over={"w_nm": (600.0, 900.0)})
 
 
+def _characterize_spec(workers=None):
+    # One worker is the serial default (execution=None).
+    execution = None if workers in (None, 1) else Execution(workers=workers)
+    return Characterize(cell="inv", slews=(5e-12,), loads=(1e-15, 4e-15),
+                        n_mc=4, execution=execution)
+
+
 class TestTelemetryAttachment:
     def test_traced_run_attaches_span_summary(self, technology):
         tracer = Tracer()
@@ -342,6 +356,17 @@ class TestTelemetryAttachment:
         assert "repro_waves_total" in telemetry["metrics"]
         # The live tracer kept recording the same spans.
         assert any(r["name"] == "session.run" for r in tracer.records)
+
+    @pytest.mark.parametrize("build", [_sweep_spec, _characterize_spec])
+    def test_serial_grids_carry_telemetry(self, technology, build):
+        session = Session(technology=technology, seed=SEED, tracer=Tracer())
+        try:
+            result = session.run(build())
+        finally:
+            session.close()
+        assert result.runtime.executor == "serial"
+        assert {"run.wave", "shard.execute"} <= set(
+            result.runtime.telemetry["spans"])
 
     def test_untraced_run_has_no_telemetry(self, technology):
         session = Session(technology=technology, seed=SEED)
@@ -382,13 +407,15 @@ class TestTelemetryAttachment:
 # ----------------------------------------------------------------------
 class TestDeterminismMatrix:
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("family", ["montecarlo", "sweep", "yield"])
+    @pytest.mark.parametrize("family",
+                             ["montecarlo", "sweep", "yield", "characterize"])
     def test_envelopes_bit_identical_with_and_without_telemetry(
             self, technology, family, workers):
         build = {
             "montecarlo": _mc_spec,
             "sweep": _sweep_spec,
             "yield": _yield_spec,
+            "characterize": _characterize_spec,
         }[family]
         spec = build(workers=workers)
 

@@ -15,7 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import Execution, ImportanceSampling, MonteCarlo, Session
+from repro.api import (
+    Execution,
+    FactoryMap,
+    ImportanceSampling,
+    MonteCarlo,
+    Session,
+)
+from repro.obs import default_registry
 from repro.runtime import (
     FailureAccumulator,
     ParallelExecutor,
@@ -657,6 +664,50 @@ class TestExecutors:
         assert closure.runtime.degraded is not None
         assert picklable.runtime.degraded is None
         assert closure.payload.probability == picklable.payload.probability
+
+    def test_degradation_counted_and_warned_once(self, technology,
+                                                 monkeypatch):
+        import logging
+
+        from repro.runtime import executors
+
+        monkeypatch.setattr(executors, "_DEGRADATION_WARNED", set())
+        records = []
+        handler = logging.Handler(level=logging.WARNING)
+        handler.emit = records.append
+        logger = logging.getLogger("repro.runtime.executors")
+        logger.addHandler(handler)
+        spec = FactoryMap(
+            work=lambda factory: factory.rng.normal(size=factory.n_samples),
+            n_samples=64,
+        )
+        serial = Session(technology=technology, seed=11, executor=1)
+        parallel = Session(technology=technology, seed=11, executor=2)
+        try:
+            expected = serial.run(spec)
+            before = _degradations("process-pool")
+            runs = [parallel.run(spec) for _ in range(2)]
+        finally:
+            logger.removeHandler(handler)
+            parallel.close()
+            serial.close()
+        assert _degradations("process-pool") == before + 2
+        # One structured warning per executor kind per process; the
+        # reason text rides on the envelope, never on the metric.
+        assert [r.getMessage() for r in records] == ["executor.degraded"]
+        assert records[0].event_fields == {"executor": "process-pool"}
+        for run in runs:
+            assert run.runtime.degraded.startswith("task not picklable")
+            np.testing.assert_array_equal(run.payload, expected.payload)
+
+
+def _degradations(executor: str) -> float:
+    family = default_registry().snapshot().get(
+        "repro_executor_degradations_total")
+    if not family:
+        return 0.0
+    return sum(series["value"] for series in family["series"]
+               if series["labels"] == {"executor": executor})
 
 
 # ----------------------------------------------------------------------

@@ -120,6 +120,19 @@ grid_axis = st.one_of(
     ).map(lambda vals: tuple(sorted(vals))),
 )
 
+# A characterization grid has no stopping rule (no error target or cap).
+grid_execution = st.one_of(
+    st.none(),
+    st.builds(
+        Execution,
+        shard_size=st.one_of(st.none(), st.integers(1, 4096)),
+        workers=st.integers(1, 8),
+        min_samples=st.integers(0, 1000),
+        wave_size=st.one_of(st.none(), st.integers(1, 64)),
+        checkpoint=st.one_of(st.none(), st.just("/tmp/repro-ckpt/prefix")),
+    ),
+)
+
 characterize = st.builds(
     Characterize,
     cell=st.sampled_from(("inv", "nand2", "dff")),
@@ -129,7 +142,7 @@ characterize = st.builds(
     n_mc=st.integers(0, 64),
     model=model,
     seed_offset=st.integers(0, 64),
-    execution=execution,
+    execution=grid_execution,
 )
 
 characterize_library = st.builds(
@@ -141,7 +154,7 @@ characterize_library = st.builds(
     vdd=st.floats(min_value=0.4, max_value=1.2, **finite),
     n_mc=st.integers(0, 64),
     seed_offset=st.integers(0, 64),
-    execution=execution,
+    execution=grid_execution,
 )
 
 # Sweep-level execution must not carry an adaptive error target.

@@ -14,9 +14,10 @@ cancellation).
 
 from __future__ import annotations
 
+import pickle
 import re
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,9 @@ from repro.api import (
     SweepResult,
     sweep_point_offset,
 )
+from repro.api.sweep import SweepPointTask
+from repro.obs import Tracer
+from repro.runtime import SerialExecutor, plan_shards, task_fingerprint
 
 RTOL = 1e-9
 
@@ -50,6 +54,13 @@ class RngWork:
 
     def __call__(self, factory) -> np.ndarray:
         return self.scale * factory.rng.normal(size=factory.n_samples)
+
+
+class InlineTwoWorkers(SerialExecutor):
+    """In-process executor posing as a 2-worker pool (no processes)."""
+
+    workers = 2
+    kind = "inline-2"
 
 
 @dataclass(frozen=True)
@@ -286,6 +297,48 @@ class TestSchedulingInvariance:
                     a.payload.samples["idsat"], b.payload.samples["idsat"]
                 )
 
+    def test_serial_sweep_runs_one_point_per_shard(self, session):
+        runtime = session.run(self._sweep()).runtime
+        assert (runtime.executor, runtime.workers, runtime.shard_size,
+                runtime.n_shards, runtime.shards_run) == (
+                    "serial", 1, 1, 4, 4)
+
+    def test_in_process_points_run_on_the_submitting_session(
+        self, technology
+    ):
+        traced = Session(technology=technology, seed=5, tracer=Tracer())
+        swept = traced.run(self._sweep(Execution(workers=1, shard_size=2)))
+        # Every point went through the traced session's own dispatch
+        # (a worker-local session would carry no tracer).
+        assert all(point.runtime.telemetry is not None
+                   for point in swept.points)
+
+    def test_only_worker_side_points_are_pinned_to_one_worker(
+        self, technology
+    ):
+        session = Session(technology=technology, seed=5,
+                          executor=InlineTwoWorkers())
+        sweep = Sweep(
+            MonteCarlo(n_samples=20, execution=Execution(workers=2)),
+            over={"w_nm": (300.0, 600.0)},
+        )
+        # In the submitting process points keep their own execution.
+        swept = session.run(sweep)
+        assert swept.runtime.executor == "inline-2"
+        assert [p.runtime.workers for p in swept.points] == [2, 2]
+        # A task that crossed a process boundary pins every point.
+        task = SweepPointTask(
+            technology=technology, sweep=sweep, root_seed=5,
+            backend=session.backend, session=session,
+        )
+        worker_side = pickle.loads(pickle.dumps(task))
+        (shard,) = plan_shards(2, 2, swept.seed)
+        points = worker_side(shard)
+        assert [p.runtime.workers for p in points] == [1, 1]
+        for a, b in zip(swept.points, points):
+            np.testing.assert_array_equal(a.payload.samples["idsat"],
+                                          b.payload.samples["idsat"])
+
     def test_bit_identical_across_sweep_shard_sizes(self, session):
         reference = session.run(self._sweep())
         for shard_size in (1, 2, 3, 4):
@@ -382,6 +435,16 @@ class TestSweepCheckpoint:
             np.testing.assert_array_equal(
                 a.payload.samples["idsat"], b.payload.samples["idsat"]
             )
+
+    def test_session_is_not_part_of_the_task_fingerprint(self, session):
+        bare = SweepPointTask(
+            technology=session.technology, sweep=self._sweep(None),
+            root_seed=session.seed, backend=session.backend,
+        )
+        attached = replace(bare, session=session)
+        assert attached.session is session
+        assert task_fingerprint(attached) == task_fingerprint(bare)
+        assert pickle.loads(pickle.dumps(attached)).session is None
 
     def test_sweep_spec_discriminates_checkpoints(self, session, tmp_path):
         """Two different sweeps sharing a prefix land in distinct files."""
