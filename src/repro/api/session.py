@@ -306,32 +306,6 @@ class Session:
             return scope.base_seed, scope.spawn_key
         return self.seeds.seed(seed_offset), ()
 
-    def _runtime_args(
-        self, execution: Optional[Execution], n_samples: int,
-        seed_offset: int, stop_metric: str,
-        scope: Optional[SeedScope] = None, observer=None,
-    ) -> dict:
-        """The shared plan/executor/stopping kwargs of every runtime run.
-
-        One home for the dispatch plumbing so the Monte-Carlo,
-        importance-sampling and factory-map paths cannot drift apart.
-        ``execution=None`` is the unsharded plan: one serial shard on
-        the legacy stream, without stopping or checkpointing.
-        """
-        from repro.runtime import plan_for_execution, stop_rule_for_execution
-
-        base_seed, spawn_prefix = self._seed_basis(seed_offset, scope)
-        return {
-            "plan": plan_for_execution(
-                execution, n_samples, base_seed, spawn_prefix=spawn_prefix
-            ),
-            "executor": self.executor_for(execution),
-            "stop": stop_rule_for_execution(execution, stop_metric),
-            "wave_size": getattr(execution, "wave_size", None),
-            "checkpoint_path": getattr(execution, "checkpoint", None),
-            "observer": observer,
-        }
-
     # ------------------------------------------------------------------
     # Device factories (the way cells obtain transistors).
     # ------------------------------------------------------------------
@@ -601,36 +575,44 @@ class Session:
 
     def _run_montecarlo(self, spec: MonteCarlo, scope=None, observer=None,
                         inherit_execution: bool = True) -> Result:
-        from repro.runtime import run_target_samples
-
-        char = self.technology[spec.polarity]
-        start = time.perf_counter()
-        args = self._runtime_args(
-            self._spec_execution(spec, inherit_execution), spec.n_samples,
-            spec.seed_offset, "sigma", scope=scope, observer=observer,
+        from repro.runtime import (
+            TargetAccumulator,
+            TargetSamplesTask,
+            plan_for_execution,
+            run_options,
+            run_sharded,
         )
-        payload, accumulator, info = run_target_samples(
-            char,
-            spec.model,
-            spec.w_nm,
-            spec.l_nm,
-            self.technology.vdd,
-            args.pop("plan"),
-            args.pop("executor"),
-            **args,
+        from repro.stats.montecarlo import concat_target_samples
+
+        execution = self._spec_execution(spec, inherit_execution)
+        task = TargetSamplesTask(
+            characterization=self.technology[spec.polarity],
+            model=spec.model, w_nm=float(spec.w_nm), l_nm=float(spec.l_nm),
+            vdd=float(self.technology.vdd),
+        )
+        start = time.perf_counter()
+        run = run_sharded(
+            task,
+            plan_for_execution(execution, spec.n_samples,
+                               *self._seed_basis(spec.seed_offset, scope)),
+            self.executor_for(execution),
+            accumulator=TargetAccumulator(),
+            accumulate=lambda acc, payload: acc.update(payload.samples),
+            observer=observer,
+            **run_options(execution, "sigma"),
         )
         elapsed = time.perf_counter() - start
         return Result(
-            payload=payload,
+            payload=concat_target_samples(run.payloads),
             spec=spec,
             backend="device",
-            seed=info.base_seed,
-            n_samples=info.n_samples,
+            seed=run.info.base_seed,
+            n_samples=run.info.n_samples,
             wall_time_s=elapsed,
-            runtime=info,
+            runtime=run.info,
             meta={
                 "streamed_sigmas": {
-                    t: s.std() for t, s in accumulator.stats.items()
+                    t: s.std() for t, s in run.accumulator.stats.items()
                 },
                 **self._scope_meta(scope),
             },
@@ -639,35 +621,41 @@ class Session:
     def _run_importance(self, spec: ImportanceSampling, scope=None,
                         observer=None,
                         inherit_execution: bool = True) -> Result:
-        from repro.runtime import run_importance
-
-        model = self.technology[spec.polarity].statistical
-        start = time.perf_counter()
-        args = self._runtime_args(
-            self._spec_execution(spec, inherit_execution), spec.n_samples,
-            spec.seed_offset, "probability", scope=scope, observer=observer,
+        from repro.runtime import (
+            FailureAccumulator,
+            ImportanceTask,
+            plan_for_execution,
+            run_options,
+            run_sharded,
         )
-        payload, _, info = run_importance(
-            model,
-            spec.metric,
-            spec.threshold,
-            spec.shifts_dict(),
-            args.pop("plan"),
-            args.pop("executor"),
-            w_nm=spec.w_nm,
-            l_nm=spec.l_nm,
-            fail_below=spec.fail_below,
-            **args,
+
+        execution = self._spec_execution(spec, inherit_execution)
+        task = ImportanceTask(
+            model=self.technology[spec.polarity].statistical,
+            metric=spec.metric, threshold=float(spec.threshold),
+            shifts=tuple(sorted(spec.shifts_dict().items())),
+            w_nm=spec.w_nm, l_nm=spec.l_nm, fail_below=bool(spec.fail_below),
+        )
+        start = time.perf_counter()
+        run = run_sharded(
+            task,
+            plan_for_execution(execution, spec.n_samples,
+                               *self._seed_basis(spec.seed_offset, scope)),
+            self.executor_for(execution),
+            accumulator=FailureAccumulator(),
+            accumulate=lambda acc, payload: acc.merge(payload),
+            observer=observer,
+            **run_options(execution, "probability"),
         )
         elapsed = time.perf_counter() - start
         return Result(
-            payload=payload,
+            payload=run.accumulator.estimate(),
             spec=spec,
             backend="device",
-            seed=info.base_seed,
-            n_samples=info.n_samples,
+            seed=run.info.base_seed,
+            n_samples=run.info.n_samples,
             wall_time_s=elapsed,
-            runtime=info,
+            runtime=run.info,
             meta=self._scope_meta(scope),
         )
 
@@ -681,7 +669,7 @@ class Session:
         envelope is a pure function of the seed basis and the spec,
         never of workers or ``execution.shard_size``.
         """
-        from repro.runtime import stop_rule_for_execution
+        from repro.runtime import run_options
         from repro.stats.yield_engine import run_yield
 
         model = self.technology[spec.polarity].statistical
@@ -706,10 +694,8 @@ class Session:
             w_nm=spec.w_nm,
             l_nm=spec.l_nm,
             fail_below=spec.fail_below,
-            stop=stop_rule_for_execution(execution, "probability"),
-            wave_size=execution.wave_size if execution is not None else None,
-            checkpoint_path=execution.checkpoint if execution is not None else None,
             observer=observer,
+            **run_options(execution, "probability"),
         )
         elapsed = time.perf_counter() - start
         return Result(
@@ -733,24 +719,28 @@ class Session:
         delegates here).  In-process shards compile their circuits into
         the session's :attr:`plan_cache`.
         """
-        from repro.runtime import run_factory_map
+        from repro.runtime import (
+            FactoryMapTask,
+            plan_for_execution,
+            run_array_task,
+            run_options,
+        )
 
         execution = self._spec_execution(spec, inherit_execution)
-        start = time.perf_counter()
-        args = self._runtime_args(
-            execution, spec.n_samples, spec.seed_offset, "sigma",
-            scope=scope, observer=observer,
-        )
-        payload, accumulator, info = run_factory_map(
-            self.technology,
-            spec.work,
-            args.pop("plan"),
-            args.pop("executor"),
-            model=spec.model,
+        task = FactoryMapTask(
+            technology=self.technology, work=spec.work, model=spec.model,
             backend=None if self.backend == "auto" else self.backend,
-            coalesce=getattr(execution, "coalesce", True),
+            coalesce=bool(getattr(execution, "coalesce", True)),
             plan_cache=self.plan_cache,
-            **args,
+        )
+        start = time.perf_counter()
+        payload, accumulator, info = run_array_task(
+            task,
+            plan_for_execution(execution, spec.n_samples,
+                               *self._seed_basis(spec.seed_offset, scope)),
+            self.executor_for(execution),
+            observer=observer,
+            **run_options(execution, "sigma"),
         )
         elapsed = time.perf_counter() - start
         return Result(
@@ -768,21 +758,21 @@ class Session:
                           inherit_execution: bool = True) -> Result:
         """Library characterization: the (cell x slew x load) grid workload.
 
-        Grid points fan out as shard tasks through the wave runner on
-        :meth:`executor_for` (``execution=None``: the serial executor,
-        one point per shard).  Point *k* draws its Monte-Carlo stream
-        from ``SeedSequence(base_seed, spawn_key=(k,))`` — the
-        grid-point seed contract — so the tables are bit-identical at
-        every worker count and shard size.  Under sweep point *j* the
-        grid nests one level deeper: ``spawn_key=(j, k)``.
+        Grid points run on the sweeps' point-grid runner
+        (:func:`~repro.api.sweep.run_points`: ``execution=None`` is the
+        serial executor, one point per shard; progress in points;
+        ``checkpoint`` resumes at a point-wave boundary), compiling into
+        the session's :attr:`plan_cache` in this process.  Point *k*
+        draws its Monte-Carlo stream from ``SeedSequence(base_seed,
+        spawn_key=(k,))`` — the grid-point seed contract — so the
+        tables are bit-identical at every worker count and shard size.
+        Under sweep point *j* the grid nests one level deeper:
+        ``spawn_key=(j, k)``.
         """
+        from repro.api.sweep import run_points
         from repro.charlib.arcs import get_adapter
         from repro.charlib.characterize import DEFAULT_LOADS, DEFAULT_SLEWS
-        from repro.charlib.workload import (
-            CharGridTask,
-            assemble_library,
-            run_characterization,
-        )
+        from repro.charlib.workload import CharGridTask, assemble_library
 
         if isinstance(spec, CharacterizeLibrary):
             cell_specs, library_name = spec.cells, spec.name
@@ -802,15 +792,16 @@ class Session:
             base_seed=base_seed,
             backend=backend,
             spawn_prefix=spawn_prefix,
+            plan_cache=self.plan_cache,
         )
-        execution = self._spec_execution(spec, inherit_execution)
 
         start = time.perf_counter()
-        points, info = run_characterization(
-            task, self.executor_for(execution), execution=execution,
-            observer=observer,
-        )
-        library, diagnostics = assemble_library(task, points, name=library_name)
+        run = run_points(self, spec, task, task.n_points, base_seed,
+                         observer=observer,
+                         inherit_execution=inherit_execution,
+                         spawn_prefix=spawn_prefix)
+        library, diagnostics = assemble_library(task, run.accumulator.results,
+                                                name=library_name)
         elapsed = time.perf_counter() - start
 
         payload = library if isinstance(spec, CharacterizeLibrary) else library.cells[0]
@@ -821,7 +812,7 @@ class Session:
             seed=base_seed if spec.n_mc else None,
             n_samples=spec.n_mc or None,
             wall_time_s=elapsed,
-            runtime=info,
+            runtime=run.info,
             meta={
                 "grid_points": task.n_points,
                 "diagnostics": diagnostics,

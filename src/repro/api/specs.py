@@ -492,9 +492,9 @@ class _CharacterizeBase(AnalysisSpec):
     model: str = field(default="vs", kw_only=True)
     seed_offset: int = field(default=0, kw_only=True)
     backend: Optional[str] = field(default=None, kw_only=True)
-    #: Sharding/parallelism options.  A fixed grid has no stopping rule
-    #: and does not checkpoint; ``checkpoint`` is accepted (the analysis
-    #: service injects one into every job) and ignored.
+    #: Sharding/parallelism options: ``shard_size`` = grid points per
+    #: shard (default 1), ``checkpoint`` resumes at point-wave
+    #: boundaries.  A fixed grid has no stopping rule.
     execution: Optional[Execution] = field(default=None, kw_only=True)
 
     def __post_init__(self):

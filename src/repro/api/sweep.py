@@ -1,8 +1,9 @@
-"""Sweep execution: grid points as shard tasks on the parallel runtime.
+"""Point grids as shard tasks on the parallel runtime: sweeps and more.
 
 A :class:`~repro.api.specs.Sweep` wraps one statistical spec into a
 cartesian grid; this module is the orchestration behind
-``Session.run(Sweep(...))``:
+``Session.run(Sweep(...))`` and the point runner that characterization
+grids share with it:
 
 * :func:`resolve_point` applies the sweep's seed contract — ``legacy``
   points are self-seeding specs (``seed_offset + j``), ``spawn`` points
@@ -23,8 +24,14 @@ cartesian grid; this module is the orchestration behind
   rule (``max_samples`` = point cap), checkpoint/resume at point-wave
   boundaries, and the futures' ``partial()`` snapshots.
 
-:func:`run_sweep` runs every sweep, serial ones included, through the
-wave runner and assembles the :class:`~repro.api.result.SweepResult`.
+* :func:`run_points` is the one runner of every point grid — sweeps and
+  ``Characterize``/``CharacterizeLibrary`` grids: points per shard from
+  the spec's own execution, a :class:`SweepAccumulator`, progress in
+  points and the checkpoint.
+
+:func:`run_sweep` runs every sweep, serial ones included, on
+:func:`run_points` and assembles the
+:class:`~repro.api.result.SweepResult`.
 """
 
 from __future__ import annotations
@@ -38,8 +45,9 @@ from repro.api.seeding import SeedScope
 from repro.api.specs import Sweep, sweep_point_offset
 from repro.runtime.runner import (
     RunObserver,
+    ShardedRun,
+    run_options,
     run_sharded,
-    stop_rule_for_execution,
 )
 from repro.runtime.sharding import plan_shards
 
@@ -47,6 +55,7 @@ __all__ = [
     "SweepAccumulator",
     "SweepPointTask",
     "resolve_point",
+    "run_points",
     "run_sweep",
     "sweep_point_offset",
 ]
@@ -87,7 +96,7 @@ def _pin_point_workers(spec):
 class SweepAccumulator:
     """Completed point results, in flat grid order.
 
-    The sweep runner's streaming state: ``n_samples`` counts *points*
+    The point runner's streaming state: ``n_samples`` counts *points*
     (so ``Execution(max_samples=...)`` caps the grid and checkpoints
     resume mid-grid), and the stored results double as the future's
     partial snapshot.
@@ -179,6 +188,41 @@ class _PointProgress(RunObserver):
         return self._inner.should_cancel()
 
 
+def run_points(session, spec, task, n_points: int, base_seed: int,
+               observer: Optional[RunObserver] = None,
+               inherit_execution: bool = True,
+               spawn_prefix: Tuple[int, ...] = ()) -> ShardedRun:
+    """Run a point grid through the wave runner: sweeps and characterizations.
+
+    *task* evaluates a shard's contiguous flat point range and returns
+    one result per point.  Points fan out as shards of the spec's *own*
+    ``execution.shard_size`` points (default 1): the session-default
+    shard size (CLI ``--shard-size``) is sample granularity, and
+    adopting it as points per shard would fold a small grid into one
+    shard and silently serialize it.  Workers come from the spec's
+    execution, else (with *inherit_execution*) from the session
+    default.  Completed points fold into a :class:`SweepAccumulator`, so
+    ``max_samples`` caps the point count, a ``checkpoint`` resumes at a
+    point-wave boundary, and *observer* sees progress in points.
+    *base_seed* and *spawn_prefix* label the plan (runtime metadata and
+    checkpoint identity); point streams are the task's business.
+    """
+    execution = spec.execution
+    return run_sharded(
+        task,
+        plan_shards(n_points, getattr(execution, "shard_size", None) or 1,
+                    base_seed, spawn_prefix=spawn_prefix),
+        session.executor_for(session._spec_execution(spec, inherit_execution)),
+        accumulator=SweepAccumulator(),
+        accumulate=lambda acc, payload: acc.update(payload),
+        observer=(
+            _PointProgress(observer, n_points)
+            if observer is not None else None
+        ),
+        **run_options(execution, "sigma"),
+    )
+
+
 def run_sweep(
     session,
     sweep: Sweep,
@@ -187,23 +231,13 @@ def run_sweep(
 ) -> SweepResult:
     """Run every grid point of *sweep* through *session*.
 
-    Points fan out through the wave runner as shards of
-    ``execution.shard_size`` points each (default 1) on
-    ``session.executor_for(execution)`` — with ``execution=None`` (and
-    no session default) that is the serial executor, in index order.
-    Every point draws its streams per the sweep seed contract, so the
-    envelope is bit-identical regardless of scheduling.
+    Points run on :func:`run_points` — with ``execution=None`` (and no
+    session default) one point per shard on the serial executor, in
+    index order.  Every point draws its streams per the sweep seed
+    contract, so the envelope is bit-identical regardless of
+    scheduling.
     """
-    execution = sweep.execution
-    points_per_shard = getattr(execution, "shard_size", None) or 1
-    if execution is None and inherit_execution:
-        # Inherit only the session's *parallelism*.  The session-default
-        # shard size (CLI --shard-size) is sample granularity for
-        # statistical runs; adopting it as points-per-shard would fold
-        # a small grid into one shard and silently serialize the sweep.
-        execution = session.default_execution()
     base_seed = sweep_point_offset(session.seed, sweep.spec.seed_offset)
-    n_points = sweep.n_points
     meta = {"seed_mode": sweep.seed_mode, "grid_shape": sweep.shape}
 
     start = time.perf_counter()
@@ -218,20 +252,8 @@ def run_sweep(
         backend=session.backend,
         session=session,
     )
-    run = run_sharded(
-        task,
-        plan_shards(n_points, points_per_shard, base_seed),
-        session.executor_for(execution),
-        accumulator=SweepAccumulator(),
-        accumulate=lambda acc, payload: acc.update(payload),
-        stop=stop_rule_for_execution(execution, "sigma"),
-        wave_size=getattr(execution, "wave_size", None),
-        checkpoint_path=getattr(execution, "checkpoint", None),
-        observer=(
-            _PointProgress(observer, n_points)
-            if observer is not None else None
-        ),
-    )
+    run = run_points(session, sweep, task, sweep.n_points, base_seed,
+                     observer=observer, inherit_execution=inherit_execution)
     if run.info.stop_reason is not None:
         meta["stop_reason"] = run.info.stop_reason
     elapsed = time.perf_counter() - start

@@ -34,7 +34,6 @@ from repro.charlib.workload import (
     GridPointResult,
     LibraryTiming,
     assemble_library,
-    run_characterization,
 )
 from repro.charlib.liberty import parse_liberty, write_liberty
 
@@ -58,7 +57,6 @@ __all__ = [
     "GridPointResult",
     "CharGridTask",
     "LibraryTiming",
-    "run_characterization",
     "assemble_library",
     "parse_liberty",
     "write_liberty",

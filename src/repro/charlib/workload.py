@@ -24,16 +24,18 @@ module turns the grid into the runtime's vocabulary:
   arc's delay and output transition over the Monte-Carlo axis, with
   non-finite samples dropped and counted as diagnostics.
 
-:func:`run_characterization` is the orchestration entry ``Session.run``
-uses — every grid, serial ones included, runs through the wave runner;
-:func:`assemble_library` folds the ordered point results into
-:class:`~repro.charlib.characterize.CellTiming` tables and a
+``Session.run`` runs every grid, serial ones included, on the point-grid
+runner it shares with sweeps (:func:`repro.api.sweep.run_points`): one
+point per shard unless the spec's own ``execution.shard_size`` says
+otherwise, progress in points, checkpoint/resume at point-wave
+boundaries.  :func:`assemble_library` folds the ordered point results
+into :class:`~repro.charlib.characterize.CellTiming` tables and a
 :class:`LibraryTiming`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -44,15 +46,13 @@ from repro.charlib.characterize import (
 )
 from repro.charlib.tables import LookupTable2D
 from repro.runtime.accumulators import StreamStats
-from repro.runtime.runner import run_sharded
-from repro.runtime.sharding import plan_shards, shard_rng
+from repro.runtime.sharding import shard_rng
 
 __all__ = [
     "ArcPointStats",
     "GridPointResult",
     "CharGridTask",
     "LibraryTiming",
-    "run_characterization",
     "assemble_library",
 ]
 
@@ -105,6 +105,10 @@ class CharGridTask:
     ``n_mc == 0`` characterizes nominally (no random stream at all);
     otherwise each point builds a fresh Monte-Carlo factory on its own
     grid-point stream (see the module docstring's seed contract).
+    Circuits compile into *plan_cache* (the submitting session's) when
+    the task runs in the process that built it.  Pickling drops the
+    cache, like ``FactoryMapTask``'s, so pool and cluster workers use
+    their per-process caches and checkpoint fingerprints never see it.
     """
 
     technology: object              #: Technology
@@ -120,6 +124,12 @@ class CharGridTask:
     #: *k* draws from ``SeedSequence(base_seed, spawn_key=(j, k))`` —
     #: the nested sweep/seed contract.
     spawn_prefix: Tuple[int, ...] = ()
+    plan_cache: object = field(default=None, compare=False, repr=False)
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        del state["plan_cache"]
+        return state
 
     @property
     def points_per_cell(self) -> int:
@@ -145,7 +155,8 @@ class CharGridTask:
             )
         else:
             factory = NominalDeviceFactory(self.technology, self.model)
-        factory.plan_cache = _process_plan_cache()
+        factory.plan_cache = (self.plan_cache if self.plan_cache is not None
+                              else _process_plan_cache())
         if self.backend is not None:
             factory.backend = self.backend
         return factory
@@ -212,28 +223,6 @@ class LibraryTiming:
         from repro.charlib.liberty import write_liberty
 
         return write_liberty(self.cells, library_name=library_name or self.name)
-
-
-def run_characterization(task: CharGridTask, executor, execution=None,
-                         observer=None):
-    """Evaluate the whole grid through the wave runner on *executor*.
-
-    Grid points fan out as shards of ``execution.shard_size`` points
-    each (default 1, and always 1 for ``execution=None``: one transient
-    per shard task).  Because every point owns its stream, the tables
-    are bit-identical at every worker count and shard size.  A fixed
-    grid neither stops early nor checkpoints.  *observer* (a
-    :class:`~repro.runtime.runner.RunObserver`) sees per-wave progress
-    and may cancel at a wave boundary.
-
-    Returns ``(points, RuntimeInfo)`` with *points* in flat grid order.
-    """
-    shard_size = getattr(execution, "shard_size", None) or 1
-    plan = plan_shards(task.n_points, shard_size, task.base_seed,
-                       spawn_prefix=task.spawn_prefix)
-    run = run_sharded(task, plan, executor, observer=observer)
-    points = [point for payload in run.payloads for point in payload]
-    return points, run.info
 
 
 def assemble_library(

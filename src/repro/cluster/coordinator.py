@@ -394,6 +394,12 @@ class ClusterExecutor(Executor):
         if self._closed:
             return
         self._closed = True
+        # On Linux close() alone does not wake a thread blocked in
+        # accept(); shutdown() does, so the join below returns at once.
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             self._listener.close()
         except OSError:

@@ -1,23 +1,28 @@
 """Sharded parallel runtime: the layer between the API and the engines.
 
-Large statistical workloads route through this subsystem — device
-Monte-Carlo, importance sampling and circuit-level cell Monte-Carlo
-specs on every run, SSTA graph sampling when execution options are
-engaged:
+Every statistical spec runs through this subsystem — device
+Monte-Carlo, importance sampling, circuit-level factory maps, the
+rare-event yield engine, sweep and characterization point grids — plus
+SSTA graph sampling when execution options are engaged:
 
 * :mod:`~repro.runtime.sharding` plans deterministic shards whose
   streams depend only on ``(base_seed, shard_index)`` (``base_seed``
   alone for the unsharded plan of ``execution=None``);
-* :mod:`~repro.runtime.executors` run shards serially or on a process
-  pool behind one protocol (``Session(executor=...)`` / ``--workers``);
+* :mod:`~repro.runtime.executors` run shards serially, on a process
+  pool or on a cluster behind one protocol (``Session(executor=...)`` /
+  ``--workers``);
 * :mod:`~repro.runtime.accumulators` stream mean/variance/extrema,
   failure statistics and quantile sketches with exact ``merge``;
 * :mod:`~repro.runtime.stopping` evaluates relative-error stop rules
   between shard waves;
 * :mod:`~repro.runtime.checkpoint` persists accumulated state so runs
   resume mid-plan;
-* :mod:`~repro.runtime.runner` ties them together, and
-  :mod:`~repro.runtime.tasks` adapts the repo's statistical engines.
+* :mod:`~repro.runtime.runner` ties them together —
+  :func:`~repro.runtime.runner.run_sharded` is the one wave loop, and
+  :func:`~repro.runtime.runner.run_options` is the one reader of an
+  ``Execution``'s stopping, wave and checkpoint fields — and
+  :mod:`~repro.runtime.tasks` holds the statistical engines' shard
+  tasks.
 
 The invariant everything here serves: sharded output is **bit-identical
 to the serial run at every worker count** (see ``ROADMAP.md``,
@@ -49,8 +54,8 @@ from repro.runtime.runner import (
     RuntimeInfo,
     ShardedRun,
     plan_for_execution,
+    run_options,
     run_sharded,
-    stop_rule_for_execution,
     task_fingerprint,
 )
 from repro.runtime.sharding import (
@@ -69,9 +74,6 @@ from repro.runtime.tasks import (
     ImportanceTask,
     TargetSamplesTask,
     run_array_task,
-    run_factory_map,
-    run_importance,
-    run_target_samples,
 )
 
 __all__ = [
@@ -79,7 +81,7 @@ __all__ = [
     "ShardPlan",
     "plan_shards",
     "plan_for_execution",
-    "stop_rule_for_execution",
+    "run_options",
     "MIN_AUTO_SHARD_SIZE",
     "MAX_AUTO_SHARDS",
     "auto_shard_size",
@@ -109,8 +111,5 @@ __all__ = [
     "TargetSamplesTask",
     "ImportanceTask",
     "FactoryMapTask",
-    "run_target_samples",
-    "run_importance",
-    "run_factory_map",
     "run_array_task",
 ]

@@ -274,14 +274,9 @@ class FailureAccumulator:
     def effective_samples(self) -> float:
         return self.sum_w**2 / self.sum_w2 if self.sum_w2 > 0.0 else 0.0
 
-    def relative_error(self) -> float:
-        """Relative error of the streamed estimate (``inf`` if undefined).
-
-        Delegates to :class:`repro.stats.importance.FailureEstimate` so
-        the degenerate-case policy (zero failures, NaN std error) has
-        exactly one home, shared by the between-wave stop rule and the
-        reported estimate.
-        """
+    def estimate(self):
+        """The streamed state as a :class:`~repro.stats.importance.
+        FailureEstimate` — the payload of sharded importance sampling."""
         from repro.stats.importance import FailureEstimate
 
         return FailureEstimate(
@@ -290,7 +285,16 @@ class FailureAccumulator:
             n_samples=int(self.n_samples),
             effective_samples=float(self.effective_samples),
             n_failures=int(self.n_fail),
-        ).relative_error
+        )
+
+    def relative_error(self) -> float:
+        """Relative error of the streamed estimate (``inf`` if undefined).
+
+        Delegates to :meth:`estimate` so the degenerate-case policy
+        (zero failures, NaN std error) has exactly one home, shared by
+        the between-wave stop rule and the reported estimate.
+        """
+        return self.estimate().relative_error
 
     # ------------------------------------------------------------------
     def state(self) -> Dict:

@@ -49,7 +49,7 @@ __all__ = [
     "DEFAULT_WAVE_SIZE",
     "CANCELLED",
     "plan_for_execution",
-    "stop_rule_for_execution",
+    "run_options",
 ]
 
 #: ``RuntimeInfo.stop_reason`` of a run halted by an observer's cancel
@@ -398,26 +398,33 @@ def _checkpoint_file(prefix: str, plan: ShardPlan, wave_size: int,
 # ----------------------------------------------------------------------
 # Execution-option interpretation (shared by Session and the engines).
 # ----------------------------------------------------------------------
-def stop_rule_for_execution(execution, metric: str) -> Optional[StopRule]:
-    """Build the :class:`StopRule` an ``Execution`` spec asks for.
+def run_options(execution, metric: str) -> dict:
+    """The ``stop``/``wave_size``/``checkpoint_path`` an ``Execution`` asks for.
 
-    Duck-typed on the spec's ``target_rel_err`` / ``stop_target`` /
-    ``min_samples`` / ``max_samples`` attributes, so the runtime layer
-    never imports :mod:`repro.api.specs`.  Returns ``None`` when the
-    spec requests no adaptive behavior (all planned shards run).
+    The one reader of an execution's stopping (``target_rel_err``,
+    ``min_samples``, ``max_samples``), wave and checkpoint fields: every
+    runner call site splats the returned dict into :func:`run_sharded`
+    (or an engine taking the same keywords).  *metric* names the
+    estimate the stop rule tracks (``"sigma"`` or ``"probability"``).
+    Duck-typed on the attributes, so the runtime layer never imports
+    :mod:`repro.api.specs`; ``execution=None`` asks for nothing (all
+    planned shards run, no checkpoint).
     """
-    if execution is None:
-        return None
     target_rel_err = getattr(execution, "target_rel_err", None)
     max_samples = getattr(execution, "max_samples", None)
-    if target_rel_err is None and max_samples is None:
-        return None
-    return StopRule(
-        target_rel_err=target_rel_err,
-        metric=metric,
-        min_samples=getattr(execution, "min_samples", 0) or 0,
-        max_samples=max_samples,
-    )
+    stop = None
+    if target_rel_err is not None or max_samples is not None:
+        stop = StopRule(
+            target_rel_err=target_rel_err,
+            metric=metric,
+            min_samples=getattr(execution, "min_samples", 0) or 0,
+            max_samples=max_samples,
+        )
+    return {
+        "stop": stop,
+        "wave_size": getattr(execution, "wave_size", None),
+        "checkpoint_path": getattr(execution, "checkpoint", None),
+    }
 
 
 def plan_for_execution(execution, n_samples: int, base_seed: int,

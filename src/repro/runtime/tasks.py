@@ -1,40 +1,34 @@
-"""Picklable shard tasks + the orchestration entry points the API uses.
+"""Picklable shard tasks of the statistical specs.
 
 Each task is a plain top-level dataclass holding only picklable state
 (characterized models, geometry, thresholds), with ``__call__(shard)``
-evaluating one shard on the shard's own stream.  The ``run_*`` functions
-pair a task with the wave runner and assemble the task-specific final
-payload from the ordered shard outputs:
+evaluating one shard on the shard's own stream.  ``Session`` pairs each
+with the wave runner (:func:`~repro.runtime.runner.run_sharded`) and
+assembles the spec's payload from the shard outputs in shard order:
 
-* :func:`run_target_samples` — device-level Monte-Carlo; shard payloads
-  are :class:`~repro.stats.montecarlo.TargetSamples` concatenated in
-  shard order, streamed into a
+* :class:`TargetSamplesTask` — device-level Monte-Carlo; shard payloads
+  are :class:`~repro.stats.montecarlo.TargetSamples`, streamed into a
   :class:`~repro.runtime.accumulators.TargetAccumulator`.
-* :func:`run_importance` — mean-shift importance sampling; shard
+* :class:`ImportanceTask` — mean-shift importance sampling; shard
   payloads are :class:`~repro.runtime.accumulators.FailureAccumulator`
-  sufficient statistics merged in shard order (no sample arrays cross
-  process boundaries).
-* :func:`run_factory_map` — circuit-level Monte-Carlo: any
+  sufficient statistics (no sample arrays cross process boundaries).
+* :class:`FactoryMapTask` — circuit-level Monte-Carlo: any
   ``work(factory) -> (n,) array`` over a per-shard
   :class:`~repro.cells.factory.MonteCarloDeviceFactory`.
-* :func:`run_array_task` — generic fan-out for tasks that already
-  return per-shard sample arrays (the SSTA graph engine uses this).
+* :func:`run_array_task` — fan-out for tasks returning per-shard sample
+  arrays (factory maps and the SSTA graph engine use it).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from repro.runtime.accumulators import (
-    FailureAccumulator,
-    StreamStats,
-    TargetAccumulator,
-)
+from repro.runtime.accumulators import FailureAccumulator, StreamStats
 from repro.runtime.executors import Executor
-from repro.runtime.runner import RuntimeInfo, run_sharded
+from repro.runtime.runner import run_sharded
 from repro.runtime.sharding import Shard, ShardPlan
 from repro.runtime.stopping import StopRule
 
@@ -43,9 +37,6 @@ __all__ = [
     "ImportanceTask",
     "FactoryMapTask",
     "ArrayAccumulator",
-    "run_target_samples",
-    "run_importance",
-    "run_factory_map",
     "run_array_task",
 ]
 
@@ -70,41 +61,6 @@ class TargetSamplesTask:
             self.characterization, self.model, self.w_nm, self.l_nm,
             self.vdd, shard.n_samples, shard.rng(),
         )
-
-
-def run_target_samples(
-    characterization,
-    model: str,
-    w_nm: float,
-    l_nm: float,
-    vdd: float,
-    plan: ShardPlan,
-    executor: Executor,
-    stop: Optional[StopRule] = None,
-    wave_size: Optional[int] = None,
-    checkpoint_path: Optional[str] = None,
-    observer=None,
-):
-    """Sharded :func:`repro.stats.montecarlo.target_samples`.
-
-    Returns ``(TargetSamples, TargetAccumulator, RuntimeInfo)``; the
-    concatenated samples cover the shards actually run (fewer than
-    planned when the stop rule fires).
-    """
-    from repro.stats.montecarlo import concat_target_samples
-
-    task = TargetSamplesTask(
-        characterization=characterization, model=model,
-        w_nm=float(w_nm), l_nm=float(l_nm), vdd=float(vdd),
-    )
-    run = run_sharded(
-        task, plan, executor,
-        accumulator=TargetAccumulator(),
-        accumulate=lambda acc, payload: acc.update(payload.samples),
-        stop=stop, wave_size=wave_size, checkpoint_path=checkpoint_path,
-        observer=observer,
-    )
-    return concat_target_samples(run.payloads), run.accumulator, run.info
 
 
 # ----------------------------------------------------------------------
@@ -135,52 +91,6 @@ class ImportanceTask:
             w_nm=self.w_nm, l_nm=self.l_nm, fail_below=self.fail_below,
         )
         return FailureAccumulator().update(fails, weights)
-
-
-def run_importance(
-    model,
-    metric: Callable,
-    threshold: float,
-    shifts: Dict[str, float],
-    plan: ShardPlan,
-    executor: Executor,
-    w_nm: Optional[float] = None,
-    l_nm: Optional[float] = None,
-    fail_below: bool = True,
-    stop: Optional[StopRule] = None,
-    wave_size: Optional[int] = None,
-    checkpoint_path: Optional[str] = None,
-    observer=None,
-):
-    """Sharded mean-shift importance sampling.
-
-    Returns ``(FailureEstimate, FailureAccumulator, RuntimeInfo)``.  The
-    estimate is assembled from the shard accumulators merged in shard
-    order, so it is worker-count invariant.
-    """
-    from repro.stats.importance import FailureEstimate
-
-    task = ImportanceTask(
-        model=model, metric=metric, threshold=float(threshold),
-        shifts=tuple(sorted(shifts.items())),
-        w_nm=w_nm, l_nm=l_nm, fail_below=bool(fail_below),
-    )
-    run = run_sharded(
-        task, plan, executor,
-        accumulator=FailureAccumulator(),
-        accumulate=lambda acc, payload: acc.merge(payload),
-        stop=stop, wave_size=wave_size, checkpoint_path=checkpoint_path,
-        observer=observer,
-    )
-    acc: FailureAccumulator = run.accumulator
-    estimate = FailureEstimate(
-        probability=float(acc.probability),
-        std_error=float(acc.std_error),
-        n_samples=int(acc.n_samples),
-        effective_samples=float(acc.effective_samples),
-        n_failures=int(acc.n_fail),
-    )
-    return estimate, acc, run.info
 
 
 # ----------------------------------------------------------------------
@@ -290,36 +200,6 @@ class FactoryMapTask:
             pairs.append((shard.index, values[offset:offset + shard.n_samples]))
             offset += shard.n_samples
         return pairs
-
-
-def run_factory_map(
-    technology,
-    work: Callable,
-    plan: ShardPlan,
-    executor: Executor,
-    model: str = "vs",
-    backend: Optional[str] = None,
-    coalesce: bool = True,
-    plan_cache=None,
-    stop: Optional[StopRule] = None,
-    wave_size: Optional[int] = None,
-    checkpoint_path: Optional[str] = None,
-    observer=None,
-):
-    """Sharded circuit-level Monte-Carlo over device factories.
-
-    Returns ``(values, StreamStats, RuntimeInfo)`` with *values* the
-    shard outputs concatenated along the sample axis in shard order.
-    In-process shards compile into *plan_cache* (default: per process).
-    """
-    task = FactoryMapTask(
-        technology=technology, work=work, model=model, backend=backend,
-        coalesce=bool(coalesce), plan_cache=plan_cache,
-    )
-    return run_array_task(
-        task, plan, executor, stop=stop, wave_size=wave_size,
-        checkpoint_path=checkpoint_path, observer=observer,
-    )
 
 
 class ArrayAccumulator:

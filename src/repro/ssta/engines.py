@@ -72,7 +72,7 @@ def monte_carlo_arrival(
             plan_for_execution,
             resolve_executor,
             run_array_task,
-            stop_rule_for_execution,
+            run_options,
         )
 
         if base_seed is None:
@@ -88,9 +88,7 @@ def monte_carlo_arrival(
                 _ArrivalTask(graph=graph, source=source, sink=sink),
                 plan,
                 executor,
-                stop=stop_rule_for_execution(execution, "sigma"),
-                wave_size=getattr(execution, "wave_size", None),
-                checkpoint_path=getattr(execution, "checkpoint", None),
+                **run_options(execution, "sigma"),
             )
         finally:
             if own_executor:

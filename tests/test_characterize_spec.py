@@ -4,11 +4,15 @@ Covers the grid-point shard contract (tables identical at 1 and 4
 workers and across shard sizes), serial bit-identity with the legacy
 `characterize_cell`, multi-cell Liberty export consumed by the reader,
 Monte-Carlo sigma tables + dropped-sample diagnostics, the table-driven
-SSTA loop (`TableDelay` arcs inside `ssta_low_vdd`), and the serial
-grid as a runner plan (runtime metadata, wave-boundary cancellation,
-rejected stopping options).
+SSTA loop (`TableDelay` arcs inside `ssta_low_vdd`), the serial grid as
+a runner plan (runtime metadata, wave-boundary cancellation, rejected
+stopping options), and the grid on the sweeps' point runner (session
+plan cache, checkpoint/resume, points per shard from the spec only,
+progress in points).
 """
 
+import dataclasses
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,10 +25,11 @@ from repro.api import (
     RunCancelled,
     Session,
 )
+from repro.api.plans import PlanCache
 from repro.cells import NominalDeviceFactory
-from repro.charlib import characterize_cell, parse_liberty
-from repro.charlib.arcs import Arc, ArcAdapter, LibertyCell
-from repro.runtime import RunObserver
+from repro.charlib import CharGridTask, characterize_cell, parse_liberty
+from repro.charlib.arcs import Arc, ArcAdapter, LibertyCell, get_adapter
+from repro.runtime import RunObserver, task_fingerprint
 
 SLEWS = (5e-12, 20e-12)
 LOADS = (1e-15, 4e-15)
@@ -78,7 +83,8 @@ class TestSpecValidation:
 
     def test_service_checkpoint_still_accepted(self, tmp_path):
         # The analysis service injects a checkpoint prefix into every
-        # job; a fixed grid ignores it rather than refusing the job.
+        # job; a grid checkpoints at point-wave boundaries, so a
+        # restarted job resumes (TestPointRunner).
         execution = Execution(workers=1, checkpoint=str(tmp_path / "ck"))
         assert Characterize(execution=execution).execution == execution
 
@@ -306,3 +312,83 @@ class TestSerialCancellation:
         truncated = excinfo.value.partial
         assert truncated.runtime.stop_reason == "cancelled"
         assert 0 < truncated.runtime.shards_run < 30
+
+
+class _RecordingCanceller(_CancelAfterFirstProgress):
+    """Cancels after the first wave and records the progress unit."""
+
+    def on_progress(self, done, total, accumulator=None, unit="shards"):
+        self.calls.append((done, total, unit))
+
+
+def _assert_tables_equal(a, b):
+    """Mean and sigma tables of two characterized cells, bitwise."""
+    for arc in a.delay:
+        for kind in ("delay", "transition", "delay_sigma",
+                     "transition_sigma"):
+            np.testing.assert_array_equal(getattr(a, kind)[arc].values,
+                                          getattr(b, kind)[arc].values)
+
+
+class TestPointRunner:
+    """The grid runs on the sweeps' point runner, with its guarantees."""
+
+    MC_SPEC = Characterize(cell="inv", slews=(5e-12, 20e-12),
+                           loads=(1e-15, 2e-15, 4e-15), n_mc=4)
+
+    def test_compiles_into_the_session_plan_cache(self, technology,
+                                                  monkeypatch):
+        from repro.runtime import tasks
+
+        process_cache = PlanCache()
+        monkeypatch.setattr(tasks, "_PROCESS_PLAN_CACHE", process_cache)
+        session = Session(technology=technology, seed=20250101)
+        session.run(Characterize(cell="inv", slews=(SLEWS[0],), loads=LOADS))
+        stats = session.plan_cache.stats()
+        # Two points, one testbench topology: one structural compile.
+        assert (stats["misses"], stats["structural_compiles"]) == (2, 1)
+        assert process_cache.stats() == PlanCache().stats()
+
+    def test_checkpointed_grid_resumes_bit_identically(self, session,
+                                                       tmp_path):
+        spec = dataclasses.replace(self.MC_SPEC, execution=Execution(
+            workers=1, checkpoint=str(tmp_path / "ck")))
+        observer = _RecordingCanceller()
+        cancelled = session._execute(spec, observer=observer)
+        assert cancelled.runtime.stop_reason == "cancelled"
+        done = cancelled.runtime.shards_run
+        assert 0 < done < 6
+        # Progress counts points, as a sweep's does.
+        assert observer.calls == [(0, 6, "points"), (done, 6, "points")]
+        assert len(list(tmp_path.glob("ck.*.ckpt"))) == 1
+
+        resumed = session.run(spec)
+        assert resumed.runtime.resumed_shards == done
+        assert (resumed.runtime.shards_run, resumed.runtime.n_shards) == (6, 6)
+        assert resumed.runtime.stop_reason is None
+        uninterrupted = session.run(
+            dataclasses.replace(self.MC_SPEC, execution=None))
+        _assert_tables_equal(resumed.payload, uninterrupted.payload)
+        assert resumed.meta == uninterrupted.meta
+
+    def test_points_per_shard_ignores_the_session_shard_size(self,
+                                                             technology):
+        # The session shard size counts samples; a 4-point grid under
+        # it must still fan out one point per shard.
+        with Session(technology=technology, seed=20250101, executor=2,
+                     shard_size=200) as session:
+            result = session.run(Characterize(cell="inv", slews=SLEWS,
+                                              loads=LOADS))
+        runtime = result.runtime
+        assert (runtime.executor, runtime.workers) == ("process-pool", 2)
+        assert (runtime.shard_size, runtime.n_shards) == (1, 4)
+
+    def test_pickled_task_drops_the_plan_cache(self, technology):
+        task = CharGridTask(
+            technology=technology, adapters=(get_adapter("inv"),), vdd=0.9,
+            slews=SLEWS, loads=LOADS, n_mc=2, base_seed=7,
+            plan_cache=PlanCache(),
+        )
+        assert pickle.loads(pickle.dumps(task)).plan_cache is None
+        assert task_fingerprint(task) == task_fingerprint(
+            dataclasses.replace(task, plan_cache=None))

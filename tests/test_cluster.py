@@ -396,6 +396,19 @@ class TestExecutorLifecycle:
         executor.close()
         executor.__del__()
 
+    def test_cluster_close_leaves_no_accept_thread(self):
+        # Closing a listener does not wake a thread blocked in accept()
+        # on Linux: close() must shut the listener down first, or the
+        # accept thread outlives the executor (and close() waits out
+        # its join timeout).
+        with _cluster(n_workers=1) as (executor, _):
+            # An accepted agent puts the loop back into accept().
+            executor.warm()
+            name = executor._accept_thread.name
+        assert name.startswith("repro-cluster-accept-")
+        assert not executor._accept_thread.is_alive()
+        assert name not in {t.name for t in threading.enumerate()}
+
     def test_session_is_a_context_manager(self, technology):
         with Session(technology=technology, seed=SEED, executor=1) as s:
             inner = s
