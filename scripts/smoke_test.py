@@ -13,7 +13,9 @@ the two store contracts that make the service trustworthy:
 2. **Crash durability** — SIGKILL the daemon mid-job, restart it over
    the same store directory, and the job resumes from its wave-boundary
    checkpoints (``runtime.resumed_shards > 0``) to an envelope that is
-   still bit-identical to an uninterrupted local run.
+   still bit-identical to an uninterrupted local run.  Proven twice: on
+   a ``Yield`` job, and on a 12-point ``Characterize`` grid killed after
+   its first checkpointed wave of points.
 
 3. **Observability** — ``GET /metrics`` serves the request counters,
    job-state gauges and latency histograms in both JSON and valid
@@ -48,7 +50,7 @@ sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
 import numpy as np  # noqa: E402
 
-from repro.api import Session, Yield  # noqa: E402
+from repro.api import Characterize, Session, Yield  # noqa: E402
 from repro.api.fingerprint import fingerprint  # noqa: E402
 from repro.api.seeding import EXPERIMENT_SEED  # noqa: E402
 from repro.api.serialize import dumps  # noqa: E402
@@ -161,6 +163,15 @@ def yield_spec(technology, n_samples: int) -> Yield:
         shifts={"vt0": 3.0}, n_samples=n_samples, n_rounds=1,
         n_per_round=16384, block_size=16384, w_nm=600.0, l_nm=40.0,
         fail_below=False,
+    )
+
+
+def characterize_spec() -> Characterize:
+    """A 12-point (4 slews x 3 loads) Monte-Carlo INV grid; a point takes
+    about a second, so a checkpointed 4-point wave takes several."""
+    return Characterize(
+        cell="inv", slews=(5e-12, 10e-12, 20e-12, 40e-12),
+        loads=(1e-15, 2e-15, 4e-15), n_mc=16,
     )
 
 
@@ -328,6 +339,46 @@ def main() -> int:
               f"resumed_shards={resumed.runtime.resumed_shards}")
         reference = session.run(big)
         check("resumed envelope bit-identical to uninterrupted run",
+              dumps(scrub_envelope(resumed)) == (
+                  dumps(scrub_envelope(reference))))
+
+        # --- 3. SIGKILL a characterization grid mid-run -------------
+        grid = characterize_spec()
+        fp = fingerprint(grid, seed=EXPERIMENT_SEED)
+        job = client.submit(grid)
+        check("characterization job started", job["outcome"] == "started",
+              f"outcome={job['outcome']}")
+        deadline = time.monotonic() + 300.0
+        while time.monotonic() < deadline:
+            status = client.status(job)
+            progress = status["progress"]
+            if status["state"] != "running":
+                raise RuntimeError(
+                    f"characterization job ended ({status['state']}) "
+                    "before the kill")
+            # The runner writes the checkpoint before it reports
+            # progress, so reported points are points on disk.
+            if (progress["completed"] or 0) >= 4:
+                break
+            time.sleep(0.02)
+        else:
+            raise RuntimeError("characterization job never made progress")
+        daemon.send_signal(signal.SIGKILL)
+        daemon.wait(timeout=30)
+        check("daemon killed mid-grid", True,
+              f"at {progress['completed']}/{progress['total']} "
+              f"{progress.get('unit', 'points')}")
+        check("grid checkpoints survive the kill",
+              any(name.startswith(fp) for name in os.listdir(ckpt_dir)))
+
+        daemon = start_daemon(port)
+        wait_healthy(client, daemon)
+        resumed = client.result(fp, timeout=600.0)
+        check("recovered grid resumed from checkpoint",
+              resumed.runtime.resumed_shards > 0,
+              f"resumed_shards={resumed.runtime.resumed_shards}")
+        reference = session.run(grid)
+        check("resumed grid bit-identical to Session(executor=1).run",
               dumps(scrub_envelope(resumed)) == (
                   dumps(scrub_envelope(reference))))
         session.close()

@@ -96,7 +96,8 @@ def _accumulator_snapshot(accumulator) -> Optional[Dict[str, Any]]:
         out["n_samples"] = int(n)
     results = getattr(accumulator, "results", None)
     if results is not None:
-        # Sweep points: the completed per-point Result envelopes.
+        # Sweep points: the completed per-point Result envelopes — the
+        # whole state of a point grid, so it is not repeated as "state".
         out["points"] = tuple(results)
     stats = getattr(accumulator, "stats", None)
     if isinstance(stats, dict):
@@ -104,7 +105,7 @@ def _accumulator_snapshot(accumulator) -> Optional[Dict[str, Any]]:
         out["means"] = {t: float(s.mean) for t, s in stats.items() if s.n}
         out["sigmas"] = {t: s.std() for t, s in stats.items()}
     state = getattr(accumulator, "state", None)
-    if callable(state):
+    if callable(state) and results is None:
         out["state"] = state()
     return out
 
@@ -202,9 +203,10 @@ class RunHandle(RunObserver):
 
         ``None`` until the first wave lands (and always for runs with
         no streaming state to snapshot, e.g. circuit specs).
-        Sweeps expose ``"points"`` — the completed per-point results;
-        statistical runs expose streamed ``"means"``/``"sigmas"`` and
-        the raw accumulator ``"state"``.
+        Sweeps and characterization grids expose ``"points"`` — the
+        completed per-point results, which are the grid's whole state,
+        so each point appears once; statistical runs expose streamed
+        ``"means"``/``"sigmas"`` and the raw accumulator ``"state"``.
         """
         return self.snapshot().partial
 

@@ -15,12 +15,18 @@ the netlist once:
   its node×node block (the resistor conductances) seeds the Jacobian.
 * **Sources** are evaluated once per time point into a vector ``b(t)``.
 * **MOSFETs are stacked along a trailing device axis**: all transistors
-  sharing a model class, polarity and temperature become ONE stacked
-  device whose parameter card holds arrays of shape ``batch + (n_dev,)``.
-  One model evaluation per Newton iteration computes every transistor of
-  the circuit across every Monte-Carlo sample; the results are scattered
-  into the Jacobian/residual with precomputed duplicate-free scatter
-  rounds that replay ``np.add.at`` on coincident entries bit for bit.
+  sharing a model class, temperature and derivative mode become ONE
+  stacked device whose parameter card holds arrays of shape
+  ``batch + (n_dev,)``.  Polarity rides that axis too — NMOS and PMOS
+  members each keep their own ±1 folding sign — so a CMOS cell is one
+  group.  One model evaluation per Newton iteration computes every
+  transistor of the circuit across every Monte-Carlo sample (a transient
+  iteration takes its currents, conductances, charges and capacitances
+  from that one evaluation); the results are scattered into the
+  Jacobian/residual with precomputed duplicate-free scatter rounds that
+  replay ``np.add.at`` on coincident entries bit for bit.  The rounds
+  visit one polarity's members before the next polarity's, so every
+  matrix cell sums its terms in the grouping the value path pins.
 * **Capacitors** are likewise grouped; their constant charge Jacobian is
   folded into the per-step companion base matrix.
 
@@ -164,13 +170,19 @@ def _stack_field(values):
 def _stack_devices(models):
     """One stacked device evaluating all of *models* in a single call.
 
-    All models share a class, polarity and temperature (the group key),
-    so only the numeric card fields differ; each field is stacked along
-    a trailing device axis.  The stacked instance bypasses ``__init__``
-    — the member cards are already validated and temperature-adjusted —
-    and copies every other instance attribute (polarity, temperature,
-    derived constants like ``phit``) from the first member, so any
-    :class:`DeviceModel` subclass with elementwise math stacks cleanly.
+    All models share a class, temperature and derivative mode (the group
+    key), so only the numeric card fields and the polarity differ.  Each
+    card field is stacked along a trailing device axis, and so is the
+    folding sign: the stacked device's ``sign`` holds one ±1 per member
+    (a plain float when all members agree) and the device has no
+    ``polarity`` at all, so nothing can fold a mixed NMOS/PMOS group
+    with one member's polarity.  The stacked card keeps the first
+    member's ``polarity`` field, which no model arithmetic reads.  The
+    stacked instance bypasses ``__init__`` — the member cards are
+    already validated and temperature-adjusted — and copies every other
+    instance attribute (temperature, derived constants like ``phit``)
+    from the first member, so any :class:`DeviceModel` subclass with
+    elementwise math stacks cleanly.
     """
     first = models[0]
     cls = type(first)
@@ -183,11 +195,13 @@ def _stack_devices(models):
         )
     stacked = cls.__new__(cls)
     stacked.__dict__.update(first.__dict__)
+    del stacked.polarity
+    stacked.sign = _stack_field([m.sign for m in models])
     stacked.params = dataclasses.replace(first.params, **changes)
     return stacked
 
 
-def _scatter_program(idx: np.ndarray) -> tuple:
+def _scatter_program(idx: np.ndarray, order=None) -> tuple:
     """Duplicate-free rounds replaying ``np.add.at(target, idx, values)``.
 
     ``np.add.at`` applies the additions of repeated indices in position
@@ -203,15 +217,22 @@ def _scatter_program(idx: np.ndarray) -> tuple:
     passes instead of a scalar loop.  Negative indices (ground entries)
     are dropped at plan time; every other cell still sees its
     contributions in position order.
+
+    *order*, a permutation of the positions (default: position order),
+    sets the order in which each cell receives its contributions: round
+    *k* holds every index's ``(k+1)``-th occurrence in *order*.  The
+    program then equals ``np.add.at`` over the values taken in *order*.
     """
     idx = np.asarray(idx)
+    cells = idx.tolist()
     occurrence = np.full(idx.shape, -1, dtype=np.intp)
     counts: dict = {}
-    for pos, value in enumerate(idx.tolist()):
-        if value < 0:
+    for pos in (range(idx.size) if order is None else order):
+        cell = cells[pos]
+        if cell < 0:
             continue
-        occurrence[pos] = counts.get(value, 0)
-        counts[value] = occurrence[pos] + 1
+        occurrence[pos] = counts.get(cell, 0)
+        counts[cell] = occurrence[pos] + 1
     n_rounds = max(counts.values(), default=0)
     return tuple(
         (idx[positions], positions)
@@ -226,6 +247,24 @@ def _apply_scatter(target: np.ndarray, program: tuple, values: np.ndarray) -> No
     values = np.broadcast_to(values, target.shape[:-1] + values.shape[-1:])
     for cols, positions in program:
         target[..., cols] += values[..., positions]
+
+
+def _subgroup_order(n_blocks: int, bounds) -> List[int]:
+    """Visit order of a block-major stamp layout over subgroups.
+
+    The layout holds *n_blocks* blocks of one entry per device; the
+    devices form contiguous subgroups ``bounds[i]:bounds[i + 1]``.  The
+    order visits each subgroup's entries block by block before the next
+    subgroup's — the order in which separate per-subgroup programs
+    applied one after another would stamp.
+    """
+    n_dev = bounds[-1]
+    return [
+        block * n_dev + dev
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+        for block in range(n_blocks)
+        for dev in range(lo, hi)
+    ]
 
 
 def _gather_index(nodes: np.ndarray, n: int) -> np.ndarray:
@@ -243,42 +282,51 @@ class _MosfetGroupStructure:
     """Index arrays for all MOSFETs sharing one stacked evaluation.
 
     Value-free: built from terminal node indices only, shareable across
-    every circuit with the same structural fingerprint.  ``slots`` are
-    the members' positions in ``circuit.elements``, used at bind time to
-    gather the matching models out of a concrete netlist.
+    every circuit with the same structural fingerprint.  *subgroups* are
+    the members' positions in ``circuit.elements``, one list per
+    polarity in first-appearance order; ``slots`` concatenates them (the
+    device-axis order), used at bind time to gather the matching models
+    out of a concrete netlist.
     """
 
-    def __init__(self, slots: List[int], elements: List[_el.MOSFET],
+    def __init__(self, subgroups: List[List[int]], elements: list,
                  n: int, n_nodes: int):
-        self.slots = list(slots)
-        g = np.array([e.g for e in elements])
-        d = np.array([e.d for e in elements])
-        s = np.array([e.s for e in elements])
+        self.slots = [slot for sub in subgroups for slot in sub]
+        bounds = np.cumsum([0] + [len(sub) for sub in subgroups]).tolist()
+        members = [elements[i] for i in self.slots]
+        g = np.array([e.g for e in members])
+        d = np.array([e.d for e in members])
+        s = np.array([e.s for e in members])
         self.g_idx, self.d_idx, self.s_idx = (
             _gather_index(g, n), _gather_index(d, n), _gather_index(s, n)
         )
 
         # Scatter programs, duplicate-free rounds equivalent (bitwise) to
         # ``np.add.at`` with ground entries dropped; built once per
-        # structure.  I-V stamps: residual +ids at d, -ids at s; Jacobian
-        # entries (d,g) (d,d) (d,s) (s,g) (s,d) (s,s) = gm gds gms -gm
-        # -gds -gms.
-        self.f_prog = _scatter_program(np.concatenate([d, s]))
+        # structure.  Each visits the subgroups in order (all of one
+        # polarity's blocks, then the next's): the per-cell summation
+        # order of the value path, which the golden figures pin.  I-V
+        # stamps: residual +ids at d, -ids at s; Jacobian entries (d,g)
+        # (d,d) (d,s) (s,g) (s,d) (s,s) = gm gds gms -gm -gds -gms.
+        self.f_prog = _scatter_program(
+            np.concatenate([d, s]), _subgroup_order(2, bounds)
+        )
         self.j_node_prog = _scatter_program(_block_index(
             np.concatenate([d, d, d, s, s, s]),
             np.concatenate([g, d, s, g, d, s]),
             n_nodes,
-        ))
+        ), _subgroup_order(6, bounds))
 
         # Charge stamps over terminals (g, d, s), terminal-major layout.
         term = {"g": g, "d": d, "s": s}
         self.qf_prog = _scatter_program(
-            np.concatenate([term[t] for t in _TERMS])
+            np.concatenate([term[t] for t in _TERMS]),
+            _subgroup_order(3, bounds),
         )
         self.qj_node_prog = _scatter_program(np.concatenate([
             _block_index(term[ti], term[tj], n_nodes)
             for ti in _TERMS for tj in _TERMS
-        ]))
+        ]), _subgroup_order(9, bounds))
 
 
 class _MosfetGroup:
@@ -409,7 +457,8 @@ class _SourcePartition:
 
 
 def _mosfet_signature(model) -> tuple:
-    """The group key / structural identity of one MOSFET's model."""
+    """The structural identity of one MOSFET's model; without the
+    polarity (second entry) it is the stacked-group key."""
     return (
         type(model),
         int(model.polarity),
@@ -500,18 +549,23 @@ class PlanStructure:
             [circuit.elements[i] for i in self.vsource_slots], self.n_nodes
         )
 
-        # Stacked device groups, keyed by (class, polarity, temperature,
-        # derivative mode) in first-appearance order.
-        grouped: "dict[tuple, List[int]]" = {}
+        # Stacked device groups, keyed by (class, temperature, derivative
+        # mode) in first-appearance order; inside each, one subgroup per
+        # polarity in first-appearance order.
+        grouped: "dict[tuple, dict]" = {}
         for slot in mosfet_slots:
-            key = _mosfet_signature(circuit.elements[slot].model)
-            grouped.setdefault(key, []).append(slot)
+            cls, polarity, *rest = _mosfet_signature(
+                circuit.elements[slot].model
+            )
+            grouped.setdefault((cls, *rest), {}).setdefault(
+                polarity, []
+            ).append(slot)
         self.mos_group_structures = [
             _MosfetGroupStructure(
-                slots, [circuit.elements[i] for i in slots], self.n,
+                list(subgroups.values()), circuit.elements, self.n,
                 self.n_nodes,
             )
-            for slots in grouped.values()
+            for subgroups in grouped.values()
         ]
         self.cap_structure = (
             _CapacitorGroupStructure(
@@ -659,20 +713,31 @@ class CompiledCircuit:
             [v, np.zeros(v.shape[:-1] + (1,))], axis=-1
         )
 
-    def _nonlinear(self, v: np.ndarray, base_jac: np.ndarray):
+    def _nonlinear(self, v: np.ndarray, base_jac: np.ndarray,
+                   charges: bool = False):
         """Stacked MOSFET I-V stamps at *v*.
 
         Returns the augmented solution vector (for reuse by the charge
-        stamps), the residual accumulator over all unknowns and the flat
-        node×node Jacobian, seeded with the constant *base_jac*.
+        stamps), the residual accumulator over all unknowns, the flat
+        node×node Jacobian, seeded with the constant *base_jac*, and the
+        per-group ``(q, cmat)`` list — with *charges*, each group's
+        charges and capacitances from the same device evaluation
+        (:meth:`DeviceModel.iv_and_charges`), else empty.
         """
         batch = v.shape[:-1]
         v_aug = self._augment(v)
         res = np.zeros(batch + (self.n,))
         jac_flat = np.empty(batch + base_jac.shape[-1:])
         jac_flat[...] = base_jac
+        group_charges = []
         for grp in self.mos_groups:
-            ids, gm, gds, gms = self.device_iv(grp, v_aug)
+            terminals = grp.gather(v_aug)
+            if charges:
+                iv, q_cmat = grp.device.iv_and_charges(*terminals)
+                group_charges.append(q_cmat)
+            else:
+                iv = grp.device.ids_and_derivatives(*terminals)
+            ids, gm, gds, gms = np.broadcast_arrays(*iv)
             _apply_scatter(
                 res, grp.structure.f_prog,
                 np.concatenate([ids, -ids], axis=-1),
@@ -682,12 +747,7 @@ class CompiledCircuit:
                 grp.structure.j_node_prog,
                 np.concatenate([gm, gds, gms, -gm, -gds, -gms], axis=-1),
             )
-        return v_aug, res, jac_flat
-
-    @staticmethod
-    def device_iv(grp: _MosfetGroup, v_aug: np.ndarray):
-        ids, gm, gds, gms = grp.device.ids_and_derivatives(*grp.gather(v_aug))
-        return np.broadcast_arrays(ids, gm, gds, gms)
+        return v_aug, res, jac_flat, group_charges
 
     def _finish(self, v, res, jac_flat, b):
         n_nodes = self.n_nodes
@@ -703,7 +763,7 @@ class CompiledCircuit:
         b = self.source_vector(t)
 
         def assemble(v: np.ndarray) -> _Assembled:
-            _, res, jac_flat = self._nonlinear(v, self.j_nodes)
+            _, res, jac_flat, _ = self._nonlinear(v, self.j_nodes)
             return self._finish(v, res, jac_flat, b)
 
         return assemble
@@ -734,15 +794,16 @@ class CompiledCircuit:
         base_jac = self.j_nodes + coeff * self.c_lin
 
         def assemble(v: np.ndarray) -> _Assembled:
-            v_aug, res, jac_flat = self._nonlinear(v, base_jac)
+            v_aug, res, jac_flat, mos_charges = self._nonlinear(
+                v, base_jac, charges=True
+            )
+            mos_charges = iter(mos_charges)
             for k, grp in enumerate(self.charge_groups()):
                 if isinstance(grp, _CapacitorGroup):
                     # Linear Jacobian already folded into base_jac.
                     q_new = grp.charge_flat(v_aug)
                 else:
-                    q0, cmat = grp.device.charges_and_capacitance(
-                        *grp.gather(v_aug)
-                    )
+                    q0, cmat = next(mos_charges)
                     q_new = np.concatenate(
                         np.broadcast_arrays(*q0), axis=-1
                     )

@@ -16,15 +16,21 @@ Conventions
   every device evaluation.
 * Source/drain symmetry is handled here once: subclasses implement the
   model in normalized space (NMOS-like, ``vds >= 0``) and the base class
-  applies polarity folding and terminal swapping.
+  applies polarity folding and terminal swapping.  The folding reads
+  ``self.sign`` only — ``float(polarity)`` on a single device, one ±1
+  per member on the compiled engine's stacked device, which mixes
+  NMOS and PMOS along its device axis and has no ``polarity``.
 * Derivatives come in two flavours, selected by the ``derivatives``
-  constructor switch: ``"analytic"`` (default) dispatches to the
-  closed-form normalized-space gradient hooks ``_ids_grad_normalized`` /
-  ``_charges_grad_normalized`` when the model implements them, and the
+  constructor switch: ``"analytic"`` (default) evaluates the model core
+  once with closed-form bias gradients (``_core_grad_normalized``) and
+  finishes it through the ``_ids_grad_normalized`` /
+  ``_charges_grad_normalized`` hooks when the model implements them; the
   base class applies the same polarity/swap chain rule it applies to the
-  values; ``"fd"`` (or a model without the hooks) falls back to the
-  stacked finite-difference stamps.  Analytic derivatives cut the model
-  evaluations per Newton iteration from four to one.
+  values.  ``"fd"`` (or a model without the hooks) falls back to the
+  stacked finite-difference stamps, four bias points per call.
+  :meth:`DeviceModel.iv_and_charges` finishes ONE fold and ONE core
+  evaluation into both the I-V and the charge stamps, so a transient
+  Newton iteration evaluates each device once.
 """
 
 from __future__ import annotations
@@ -92,6 +98,10 @@ class DeviceModel(abc.ABC):
                 f"derivatives must be 'analytic' or 'fd', got {derivatives!r}"
             )
         self.polarity = Polarity(polarity)
+        #: Voltage folding sign, the only polarity the methods below read.
+        #: A stacked device of the compiled engine has no ``polarity``;
+        #: it carries one ±1 per member here instead.
+        self.sign = float(self.polarity)
         self.derivatives = derivatives
 
     # ------------------------------------------------------------------
@@ -105,67 +115,48 @@ class DeviceModel(abc.ABC):
     def _charges_normalized(self, vgs, vds) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Terminal charges ``(qg, qd, qs)`` [C] in normalized space."""
 
-    #: Optional analytic-gradient hooks.  A model that implements them
-    #: returns, for ``_ids_grad_normalized(vgs, vds)``, the triple
-    #: ``(ids, d ids/d vgs, d ids/d vds)`` and, for
-    #: ``_charges_grad_normalized(vgs, vds)``, the pair
+    #: Optional analytic-gradient hooks, all in normalized (NMOS-like,
+    #: vds >= 0) space.  ``_core_grad_normalized(vgs, vds)`` evaluates the
+    #: model core with closed-form bias gradients, in whatever form the
+    #: model likes; the other two finish that core:
+    #: ``_ids_grad_normalized(vgs, vds, core)`` returns the triple
+    #: ``(ids, d ids/d vgs, d ids/d vds)`` and
+    #: ``_charges_grad_normalized(vgs, vds, core)`` the pair
     #: ``((qg, qd, qs), {t: (dq_t/dvgs, dq_t/dvds)})`` over terminals
-    #: ``'g'/'d'/'s'`` — all in normalized (NMOS-like, vds >= 0) space.
-    #: Left as ``None`` here so :meth:`ids_and_derivatives` can detect
-    #: absence and fall back to finite differences.
+    #: ``'g'/'d'/'s'``.  Left as ``None`` here so the derivative methods
+    #: can detect absence and fall back to finite differences.
+    _core_grad_normalized = None
     _ids_grad_normalized = None
     _charges_grad_normalized = None
 
     # ------------------------------------------------------------------
-    # Public terminal-space API.
+    # Folding: the terminal-to-normalized coordinate change and back,
+    # shared by the value, derivative and fused paths.
     # ------------------------------------------------------------------
-    def ids(self, vg, vd, vs):
-        """Drain terminal current [A] given node voltages.
+    def _analytic(self, hook) -> bool:
+        """Whether *hook* serves this device (else finite differences)."""
+        return hook is not None and self.derivatives == "analytic"
 
-        Positive current flows into the drain node.  Handles PMOS folding
-        and source/drain swap for ``vds < 0`` (model symmetry).
-        """
-        sign = float(self.polarity)
-        vgs_eff, vds_eff, swap = _fold_bias(vg, vd, vs, sign)
-        ids_n = self._ids_normalized(vgs_eff, vds_eff)
-        return sign * np.where(swap, -ids_n, ids_n)
+    def _fold_core(self, vg, vd, vs):
+        """Folded bias ``(vgs_eff, vds_eff, swap)`` plus the gradient core
+        evaluated once on it."""
+        vgs_eff, vds_eff, swap = _fold_bias(vg, vd, vs, self.sign)
+        return vgs_eff, vds_eff, swap, self._core_grad_normalized(
+            vgs_eff, vds_eff
+        )
 
-    def charges(self, vg, vd, vs):
-        """Terminal charges ``(qg, qd, qs)`` [C] given node voltages."""
-        sign = float(self.polarity)
-        vgs_eff, vds_eff, swap = _fold_bias(vg, vd, vs, sign)
-        qg, qd, qs = self._charges_normalized(vgs_eff, vds_eff)
+    def _unfold_ids(self, swap, ids_n):
+        return self.sign * np.where(swap, -ids_n, ids_n)
+
+    def _unfold_charges(self, swap, qg, qd, qs):
         qd_out = np.where(swap, qs, qd)
         qs_out = np.where(swap, qd, qs)
+        sign = self.sign
         return sign * qg, sign * qd_out, sign * qs_out
 
-    # ------------------------------------------------------------------
-    # Derivatives: analytic when the model provides gradient hooks,
-    # finite difference otherwise (robust against model smoothing).
-    # ------------------------------------------------------------------
-    def ids_and_derivatives(self, vg, vd, vs):
-        """Return ``(ids, gm, gds, gms)``.
-
-        ``gm = d ids/d vg``, ``gds = d ids/d vd``, ``gms = d ids/d vs``.
-        With ``derivatives="analytic"`` (the default) and a model that
-        implements :attr:`_ids_grad_normalized`, one closed-form model
-        evaluation replaces the four stacked finite-difference bias
-        points; the base class folds the normalized-space gradient back
-        through polarity and source/drain swap.  ``derivatives="fd"`` or
-        a hook-less model uses forward differences (an inexact Jacobian
-        only costs Newton an occasional extra iteration).
-        """
-        grad = self._ids_grad_normalized
-        if grad is None or self.derivatives != "analytic":
-            h = _FD_STEP
-            i4 = self.ids(*_fd_bias_points(vg, vd, vs, h))
-            i0 = i4[0]
-            return i0, (i4[1] - i0) / h, (i4[2] - i0) / h, (i4[3] - i0) / h
-
-        sign = float(self.polarity)
-        vgs_eff, vds_eff, swap = _fold_bias(vg, vd, vs, sign)
-        ids_n, dig, did = grad(vgs_eff, vds_eff)
-        ids = sign * np.where(swap, -ids_n, ids_n)
+    def _unfold_iv(self, swap, ids_n, dig, did):
+        """Terminal-space ``(ids, gm, gds, gms)`` of a normalized gradient."""
+        ids = self._unfold_ids(swap, ids_n)
         # Chain rule through the folding.  Unswapped: vgs_eff = s(vg-vs),
         # vds_eff = s(vd-vs).  Swapped: vgs_eff = s(vg-vd), vds_eff =
         # s(vs-vd), and ids = -s*ids_n — the polarity sign squares away
@@ -175,34 +166,9 @@ class DeviceModel(abc.ABC):
         gms = np.where(swap, -did, -(dig + did))
         return ids, gm, gds, gms
 
-    def charges_and_capacitance(self, vg, vd, vs):
-        """Return ``(q, cmat)`` for the transient companion model.
-
-        ``q`` is the terminal charge tuple ``(qg, qd, qs)``; ``cmat`` the
-        dict ``{(i, j): dq_i/dv_j}`` over terminals ``'g'/'d'/'s'``.
-        Analytic when the model implements
-        :attr:`_charges_grad_normalized` and ``derivatives="analytic"``,
-        forward differences otherwise; either way the swap folding mirror
-        of :meth:`charges` is applied here once.
-        """
-        grad = self._charges_grad_normalized
-        if grad is None or self.derivatives != "analytic":
-            h = _FD_STEP
-            terminals = ("g", "d", "s")
-            q4 = self.charges(*_fd_bias_points(vg, vd, vs, h))
-            q0 = tuple(q[0] for q in q4)
-            cmat = {}
-            for j, term_j in enumerate(terminals):
-                for i, term_i in enumerate(terminals):
-                    cmat[(term_i, term_j)] = (q4[i][j + 1] - q0[i]) / h
-            return q0, cmat
-
-        sign = float(self.polarity)
-        vgs_eff, vds_eff, swap = _fold_bias(vg, vd, vs, sign)
-        (qg_n, qd_n, qs_n), grads = grad(vgs_eff, vds_eff)
-        qd_out = np.where(swap, qs_n, qd_n)
-        qs_out = np.where(swap, qd_n, qs_n)
-        q0 = (sign * qg_n, sign * qd_out, sign * qs_out)
+    def _unfold_cap(self, swap, q_n, grads):
+        """Terminal-space ``(q, cmat)`` of a normalized charge gradient."""
+        q0 = self._unfold_charges(swap, *q_n)
         # Terminal i maps to normalized terminal sigma(i): identity when
         # unswapped, d<->s when swapped.  With A = dq_sigma(i)/dvgs and
         # B = dq_sigma(i)/dvds at the folded bias, the terminal-space row
@@ -217,6 +183,101 @@ class DeviceModel(abc.ABC):
             cmat[(term, "d")] = np.where(swap, -(a_s + b_s), b_n)
             cmat[(term, "s")] = np.where(swap, b_s, -(a_n + b_n))
         return q0, cmat
+
+    # ------------------------------------------------------------------
+    # Public terminal-space API.
+    # ------------------------------------------------------------------
+    def ids(self, vg, vd, vs):
+        """Drain terminal current [A] given node voltages.
+
+        Positive current flows into the drain node.  Handles PMOS folding
+        and source/drain swap for ``vds < 0`` (model symmetry).
+        """
+        vgs_eff, vds_eff, swap = _fold_bias(vg, vd, vs, self.sign)
+        return self._unfold_ids(swap, self._ids_normalized(vgs_eff, vds_eff))
+
+    def charges(self, vg, vd, vs):
+        """Terminal charges ``(qg, qd, qs)`` [C] given node voltages."""
+        vgs_eff, vds_eff, swap = _fold_bias(vg, vd, vs, self.sign)
+        return self._unfold_charges(
+            swap, *self._charges_normalized(vgs_eff, vds_eff)
+        )
+
+    # ------------------------------------------------------------------
+    # Derivatives: analytic when the model provides gradient hooks,
+    # finite difference otherwise (robust against model smoothing).
+    # ------------------------------------------------------------------
+    def ids_and_derivatives(self, vg, vd, vs):
+        """Return ``(ids, gm, gds, gms)``.
+
+        ``gm = d ids/d vg``, ``gds = d ids/d vd``, ``gms = d ids/d vs``.
+        With ``derivatives="analytic"`` (the default) and a model that
+        implements the gradient hooks, one closed-form model evaluation
+        replaces the four stacked finite-difference bias points; the base
+        class folds the normalized-space gradient back through polarity
+        and source/drain swap.  ``derivatives="fd"`` or a hook-less model
+        uses forward differences (an inexact Jacobian only costs Newton
+        an occasional extra iteration).
+        """
+        if not self._analytic(self._ids_grad_normalized):
+            h = _FD_STEP
+            i4 = self.ids(*_fd_bias_points(vg, vd, vs, h))
+            i0 = i4[0]
+            return i0, (i4[1] - i0) / h, (i4[2] - i0) / h, (i4[3] - i0) / h
+        vgs_eff, vds_eff, swap, core = self._fold_core(vg, vd, vs)
+        return self._unfold_iv(
+            swap, *self._ids_grad_normalized(vgs_eff, vds_eff, core)
+        )
+
+    def charges_and_capacitance(self, vg, vd, vs):
+        """Return ``(q, cmat)`` for the transient companion model.
+
+        ``q`` is the terminal charge tuple ``(qg, qd, qs)``; ``cmat`` the
+        dict ``{(i, j): dq_i/dv_j}`` over terminals ``'g'/'d'/'s'``.
+        Analytic when the model implements the gradient hooks and
+        ``derivatives="analytic"``, forward differences otherwise; either
+        way the swap folding mirror of :meth:`charges` is applied here
+        once.
+        """
+        if not self._analytic(self._charges_grad_normalized):
+            h = _FD_STEP
+            terminals = ("g", "d", "s")
+            q4 = self.charges(*_fd_bias_points(vg, vd, vs, h))
+            q0 = tuple(q[0] for q in q4)
+            cmat = {}
+            for j, term_j in enumerate(terminals):
+                for i, term_i in enumerate(terminals):
+                    cmat[(term_i, term_j)] = (q4[i][j + 1] - q0[i]) / h
+            return q0, cmat
+        vgs_eff, vds_eff, swap, core = self._fold_core(vg, vd, vs)
+        return self._unfold_cap(
+            swap, *self._charges_grad_normalized(vgs_eff, vds_eff, core)
+        )
+
+    def iv_and_charges(self, vg, vd, vs):
+        """Return ``(ids_and_derivatives(...), charges_and_capacitance(...))``.
+
+        The transient Newton iteration's one device evaluation: with
+        analytic derivatives the bias is folded once and the model core
+        evaluated once, then finished into both the I-V and the
+        charge/capacitance stamps — the same operations on the same
+        inputs as the two separate calls, so the results are bitwise
+        theirs.  Otherwise (``derivatives="fd"`` or a hook-less model)
+        it returns the two separate calls.
+        """
+        if not (self._analytic(self._ids_grad_normalized)
+                and self._analytic(self._charges_grad_normalized)):
+            return (self.ids_and_derivatives(vg, vd, vs),
+                    self.charges_and_capacitance(vg, vd, vs))
+        vgs_eff, vds_eff, swap, core = self._fold_core(vg, vd, vs)
+        return (
+            self._unfold_iv(
+                swap, *self._ids_grad_normalized(vgs_eff, vds_eff, core)
+            ),
+            self._unfold_cap(
+                swap, *self._charges_grad_normalized(vgs_eff, vds_eff, core)
+            ),
+        )
 
     def capacitance_matrix(self, vg, vd, vs):
         """Return ``dq_i/dv_j`` as a dict ``{(i, j): value}``.

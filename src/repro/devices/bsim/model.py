@@ -198,9 +198,9 @@ class BSIMDevice(DeviceModel):
         )
         return ids * clm
 
-    def _ids_grad_normalized(self, vgs, vds):
+    def _ids_grad_normalized(self, vgs, vds, core):
         p = self.params
-        qch, ueff, esat_l, _, vdseff, d = self._core_grad_normalized(vgs, vds)
+        qch, ueff, esat_l, _, vdseff, d = core
         (dqch_g, dqch_d) = d["qch"]
         (dueff_g, dueff_d) = d["ueff"]
         (desat_g, desat_d) = d["esat_l"]
@@ -253,10 +253,10 @@ class BSIMDevice(DeviceModel):
         qs = -q_source - q_ov_s
         return qg, qd, qs
 
-    def _charges_grad_normalized(self, vgs, vds):
+    def _charges_grad_normalized(self, vgs, vds, core):
         p = self.params
         area = p.w_si * p.l_si
-        qch_s, _, _, vdsat, vdseff, d = self._core_grad_normalized(vgs, vds)
+        qch_s, _, _, vdsat, vdseff, d = core
         (dqch_g, dqch_d) = d["qch"]
         (dvdsat_g, dvdsat_d) = d["vdsat"]
         (dvdseff_g, dvdseff_d) = d["vdseff"]

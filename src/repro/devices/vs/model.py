@@ -251,11 +251,9 @@ class VSDevice(DeviceModel):
         qixo, fs, _ = self._core_normalized(vgs, vds)
         return c["w_si"] * fs * qixo * c["vxo_si"]
 
-    def _ids_grad_normalized(self, vgs, vds):
+    def _ids_grad_normalized(self, vgs, vds, core):
         c = self._consts()
-        qixo, fs, (dqixo_g, dqixo_d), (dfs_g, dfs_d) = (
-            self._core_grad_normalized(vgs, vds)
-        )
+        qixo, fs, (dqixo_g, dqixo_d), (dfs_g, dfs_d) = core
         scale = c["w_si"] * c["vxo_si"]
         ids = c["w_si"] * fs * qixo * c["vxo_si"]
         dig = scale * (dfs_g * qixo + fs * dqixo_g)
@@ -286,12 +284,10 @@ class VSDevice(DeviceModel):
         qs = -q_source - q_ov_s
         return qg, qd, qs
 
-    def _charges_grad_normalized(self, vgs, vds):
+    def _charges_grad_normalized(self, vgs, vds, core):
         c = self._consts()
         area = c["area"]
-        qixo, fs, (dqixo_g, dqixo_d), (dfs_g, dfs_d) = (
-            self._core_grad_normalized(vgs, vds)
-        )
+        qixo, fs, (dqixo_g, dqixo_d), (dfs_g, dfs_d) = core
         qixd = qixo * (1.0 - fs)
         dqixd_g = dqixo_g * (1.0 - fs) - qixo * dfs_g
         dqixd_d = dqixo_d * (1.0 - fs) - qixo * dfs_d

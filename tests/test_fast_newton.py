@@ -1,7 +1,7 @@
 """Fast Newton path: analytic derivatives, scatter rounds, coalesced
-cross-shard execution.
+cross-shard execution, one device evaluation per transient iteration.
 
-Four contracts are pinned here:
+Six contracts are pinned here:
 
 * **Analytic = finite differences** — the closed-form gradient hooks of
   both compact models agree with central differences of their own
@@ -9,7 +9,15 @@ Four contracts are pinned here:
   property tests, one per model).
 * **Scatter rounds = np.add.at** — the duplicate-free scatter programs
   the assembly runs are *bitwise* the reference ``np.add.at``
-  accumulation for arbitrary index multisets.
+  accumulation for arbitrary index multisets, and a polarity-merged
+  group's programs replay the former per-polarity groups' accumulation.
+* **Fused = separate** — ``iv_and_charges`` (one bias fold, one model
+  core) is bitwise ``ids_and_derivatives`` plus
+  ``charges_and_capacitance`` for both models, both polarities, both
+  derivative modes, swapped biases included.
+* **Polarity rides the device axis** — a mixed NMOS/PMOS stacked device
+  equals each member evaluated alone, bit for bit, and every CMOS cell
+  plan has one MOSFET group per model class.
 * **Determinism matrix** — the circuit-level Monte-Carlo envelope is
   bit-identical across every fast-path switch: coalescing on/off,
   analytic/fd derivatives (values only), and 1/2 workers.
@@ -28,9 +36,27 @@ from hypothesis import assume, given, settings, strategies as st
 
 import repro.runtime.tasks as tasks_mod
 from repro.api import Execution, FactoryMap, MonteCarlo, Session, Sweep
-from repro.cells.sram import SRAMSpec
-from repro.circuit.compiled import _apply_scatter, _scatter_program
-from repro.data.cards import bsim_nmos_40nm, vs_nmos_40nm, vs_pmos_40nm
+from repro.cells.dff import DFFSpec, build_dff
+from repro.cells.factory import NominalDeviceFactory
+from repro.cells.inverter import InverterSpec, build_inverter_fo
+from repro.cells.nand import Nand2Spec, build_nand2_fo
+from repro.cells.sram import SRAMSpec, _build_half_forced, _sampled_devices
+from repro.circuit import DC, GROUND, Circuit
+from repro.circuit.compiled import (
+    _MosfetGroupStructure,
+    _apply_scatter,
+    _scatter_program,
+    _stack_devices,
+    _subgroup_order,
+    compile_circuit,
+    structural_fingerprint,
+)
+from repro.data.cards import (
+    bsim_nmos_40nm,
+    bsim_pmos_40nm,
+    vs_nmos_40nm,
+    vs_pmos_40nm,
+)
 from repro.devices.bsim.model import BSIMDevice
 from repro.devices.vs.model import VSDevice
 from repro.experiments.fig9_sram_snm import SNMWork
@@ -131,6 +157,23 @@ def _scatter_add(target: np.ndarray, idx: np.ndarray, values: np.ndarray) -> Non
     np.add.at(flat_t, (slice(None), idx), flat_v)
 
 
+def _assert_same_bits(got, want):
+    """Nested tuples/dicts of arrays equal bit for bit (``-0.0`` differs
+    from ``0.0``, shapes must match)."""
+    if isinstance(want, dict):
+        assert got.keys() == want.keys()
+        for key in want:
+            _assert_same_bits(got[key], want[key])
+    elif isinstance(want, tuple):
+        assert isinstance(got, tuple) and len(got) == len(want)
+        for a, b in zip(got, want):
+            _assert_same_bits(a, b)
+    else:
+        got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 class TestScatterProgram:
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), m=st.integers(2, 10), k=st.integers(1, 24),
@@ -158,6 +201,51 @@ class TestScatterProgram:
         # (r+1)-th occurrence so accumulation order matches add.at.
         program = _scatter_program(np.array([0, 1, 0, 0]))
         assert [list(pos) for _, pos in program] == [[0, 1], [2], [3]]
+
+    def test_subgroup_order_visits_subgroups_blockwise(self):
+        # Two blocks over devices [0, 2) and [2, 3): subgroup 0's entries
+        # of both blocks come before subgroup 1's.
+        assert _subgroup_order(2, [0, 2, 3]) == [0, 1, 3, 4, 2, 5]
+        # One subgroup is plain position order.
+        assert _subgroup_order(3, [0, 2]) == list(range(6))
+        # Occurrences count in visit order: idx 0 at positions 1 and 2,
+        # visited 2 first.
+        program = _scatter_program(np.array([1, 0, 0]), [0, 2, 1])
+        assert [list(pos) for _, pos in program] == [[0, 2], [1]]
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), m=st.integers(2, 8),
+           sizes=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+           n_blocks=st.integers(1, 9), batch=st.integers(1, 4))
+    def test_merged_program_equals_add_at_per_subgroup(
+        self, data, m, sizes, n_blocks, batch
+    ):
+        """A merged group's program is ``np.add.at`` over each former
+        subgroup's own block layout, subgroup after subgroup (ground
+        entries, index -1, dropped)."""
+        bounds = np.cumsum([0] + sizes).tolist()
+        n_dev = bounds[-1]
+        k = n_blocks * n_dev
+        idx = np.asarray(data.draw(
+            st.lists(st.integers(-1, m - 1), min_size=k, max_size=k)
+        ))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        values = rng.standard_normal((batch, k)) * 10.0 ** rng.integers(
+            -12, 3, size=(batch, k)
+        )
+        reference = rng.standard_normal((batch, m))
+        via_add_at = reference.copy()
+        layout = np.arange(k).reshape(n_blocks, n_dev)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            positions = layout[:, lo:hi].ravel()
+            positions = positions[idx[positions] >= 0]
+            if positions.size:
+                _scatter_add(via_add_at, idx[positions], values[:, positions])
+        via_program = reference.copy()
+        _apply_scatter(via_program,
+                       _scatter_program(idx, _subgroup_order(n_blocks, bounds)),
+                       values)
+        _assert_same_bits(via_program, via_add_at)
 
 
 # ----------------------------------------------------------------------
@@ -252,3 +340,163 @@ class TestCompileEconomics:
         stats = session.plan_cache.stats()
         assert stats["structural_compiles"] == 2
         assert stats["structural_hits"] >= 2
+
+
+# ----------------------------------------------------------------------
+# One device evaluation per transient iteration.
+# ----------------------------------------------------------------------
+def _column(value, j):
+    """Member *j*'s slice of a stacked device's (nested) output."""
+    if isinstance(value, dict):
+        return {key: _column(v, j) for key, v in value.items()}
+    if isinstance(value, tuple):
+        return tuple(_column(v, j) for v in value)
+    return np.asarray(value)[..., j]
+
+
+_DEVICE_KINDS = {
+    "vs_nmos": (VSDevice, vs_nmos_40nm),
+    "vs_pmos": (VSDevice, vs_pmos_40nm),
+    "bsim_nmos": (BSIMDevice, bsim_nmos_40nm),
+    "bsim_pmos": (BSIMDevice, bsim_pmos_40nm),
+}
+_VOLT = st.floats(-1.1, 1.1)
+
+
+class TestFusedEvaluation:
+    @settings(max_examples=80, deadline=None)
+    @given(kind=st.sampled_from(sorted(_DEVICE_KINDS)),
+           mode=st.sampled_from(("analytic", "fd")),
+           vg=_VOLT, vd=_VOLT, vs=_VOLT)
+    def test_fused_equals_separate_calls_bitwise(self, kind, mode, vg, vd, vs):
+        cls, card = _DEVICE_KINDS[kind]
+        device = cls(card(300.0, 40.0), derivatives=mode)
+        # Both terminal orders: one of them folds to vds < 0 (swapped).
+        for bias in ((vg, vd, vs), (vg, vs, vd)):
+            _assert_same_bits(
+                device.iv_and_charges(*bias),
+                (device.ids_and_derivatives(*bias),
+                 device.charges_and_capacitance(*bias)),
+            )
+
+    @pytest.mark.parametrize("kind", sorted(_DEVICE_KINDS))
+    def test_fused_evaluates_the_core_once(self, kind):
+        cls, card = _DEVICE_KINDS[kind]
+        device = cls(card(300.0, 40.0))
+        core = device._core_grad_normalized
+        calls = []
+
+        def counted(vgs, vds):
+            calls.append(1)
+            return core(vgs, vds)
+
+        device._core_grad_normalized = counted
+        bias = (np.array([0.9, 0.1]), np.array([0.2, 0.8]), 0.3)
+        device.iv_and_charges(*bias)
+        assert len(calls) == 1
+        device.ids_and_derivatives(*bias)
+        device.charges_and_capacitance(*bias)
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("mode", ["analytic", "fd"])
+    @pytest.mark.parametrize("cls,nmos,pmos,vt_field", [
+        (VSDevice, vs_nmos_40nm, vs_pmos_40nm, "vt0"),
+        (BSIMDevice, bsim_nmos_40nm, bsim_pmos_40nm, "vth0"),
+    ])
+    def test_mixed_polarity_stack_equals_members(
+        self, cls, nmos, pmos, vt_field, mode
+    ):
+        rng = np.random.default_rng(17)
+        batch = 5
+
+        def member(card):
+            vt = float(np.asarray(getattr(card, vt_field)))
+            batched = card.replace(
+                **{vt_field: vt + 0.03 * rng.standard_normal(batch)}
+            )
+            return cls(batched, derivatives=mode)
+
+        members = [member(pmos(600.0, 40.0)), member(nmos(300.0, 40.0)),
+                   member(pmos(200.0, 45.0)), member(nmos(450.0, 40.0))]
+        stacked = _stack_devices(members)
+        assert not hasattr(stacked, "polarity")
+        assert np.asarray(stacked.sign).tolist() == [-1.0, 1.0, -1.0, 1.0]
+        vg, vd, vs = rng.uniform(-1.0, 1.0, size=(3, batch, len(members)))
+        for method in ("ids", "charges", "ids_and_derivatives",
+                       "charges_and_capacitance", "iv_and_charges"):
+            together = getattr(stacked, method)(vg, vd, vs)
+            for j, device in enumerate(members):
+                alone = getattr(device, method)(vg[:, j], vd[:, j], vs[:, j])
+                _assert_same_bits(_column(together, j), alone)
+
+
+def _cell_circuits(technology, model):
+    """The INV FO3, NAND2 FO3, SRAM read half-cell and DFF netlists."""
+    factory = NominalDeviceFactory(technology, model)
+    vdd = technology.vdd
+    return {
+        "inv_fo3": build_inverter_fo(factory, InverterSpec(), vdd)[0],
+        "nand2_fo3": build_nand2_fo(factory, Nand2Spec(), vdd)[0],
+        "sram_read_half": _build_half_forced(
+            _sampled_devices(factory, SRAMSpec()), vdd, "read", "ql"
+        ),
+        "dff": build_dff(factory, DFFSpec(), vdd,
+                         DC(0.0), DC(vdd), DC(0.0))[0],
+    }
+
+
+class TestPolarityMergedPlans:
+    @pytest.mark.parametrize("model", ["vs", "bsim"])
+    def test_one_mosfet_group_per_model_class(self, technology, model):
+        for name, circuit in _cell_circuits(technology, model).items():
+            plan = compile_circuit(circuit)
+            assert len(plan.mos_groups) == 1, name
+            signs = np.asarray(plan.mos_groups[0].device.sign).tolist()
+            assert sorted(set(signs)) == [-1.0, 1.0], name
+
+    def test_fingerprint_keeps_polarity(self, technology):
+        factory = NominalDeviceFactory(technology, "vs")
+
+        def one_device(polarity):
+            circuit = Circuit()
+            circuit.add_vsource("d", GROUND, DC(0.5), name="VD")
+            circuit.add_mosfet(factory(polarity, 300.0, 40.0),
+                               d="d", g="d", s=GROUND, name="M")
+            return circuit
+
+        assert (structural_fingerprint(one_device("nmos"))
+                != structural_fingerprint(one_device("pmos")))
+
+    def test_nand2_programs_replay_per_polarity_groups(self, technology):
+        """Each scatter program of the merged NAND2 FO3 group stamps every
+        cell in the order the separate per-polarity groups did."""
+        circuit = _cell_circuits(technology, "vs")["nand2_fo3"]
+        plan = compile_circuit(circuit)
+        merged = plan.mos_groups[0].structure
+        polarity = [int(circuit.elements[i].model.polarity)
+                    for i in merged.slots]
+        # Two contiguous subgroups along the device axis.
+        bounds = [0, *(np.flatnonzero(np.diff(polarity)) + 1).tolist(),
+                  len(polarity)]
+        assert len(bounds) == 3
+        parts = [
+            _MosfetGroupStructure([merged.slots[lo:hi]], circuit.elements,
+                                  plan.n, plan.n_nodes)
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
+        n_dev = bounds[-1]
+        rng = np.random.default_rng(3)
+        for prog, n_blocks, size in (("f_prog", 2, plan.n),
+                                     ("j_node_prog", 6, plan.n_nodes ** 2),
+                                     ("qf_prog", 3, plan.n),
+                                     ("qj_node_prog", 9, plan.n_nodes ** 2)):
+            values = rng.standard_normal((4, n_blocks * n_dev))
+            target = rng.standard_normal((4, size))
+            via_merged = target.copy()
+            _apply_scatter(via_merged, getattr(merged, prog), values)
+            via_parts = target.copy()
+            blocks = values.reshape(4, n_blocks, n_dev)
+            for part, lo, hi in zip(parts, bounds[:-1], bounds[1:]):
+                _apply_scatter(via_parts, getattr(part, prog),
+                               blocks[:, :, lo:hi].reshape(4, -1))
+            _assert_same_bits(via_merged, via_parts)

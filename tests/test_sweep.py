@@ -34,6 +34,7 @@ from repro.api import (
     SweepResult,
     sweep_point_offset,
 )
+from repro.api.serialize import encode
 from repro.api.sweep import SweepPointTask
 from repro.obs import Tracer
 from repro.runtime import SerialExecutor, plan_shards, task_fingerprint
@@ -553,6 +554,28 @@ class TestFutures:
         progress = handle.progress()
         assert (progress.completed, progress.total) == (3, 3)
         assert progress.unit == "points"
+
+    def test_partial_carries_each_point_once(self, session):
+        """The encoded partial of a 3-point sweep (what the service's
+        ``GET /jobs/<fp>/partial`` sends) holds each point envelope once,
+        not again under the accumulator state."""
+        def results_in(document):
+            if isinstance(document, dict):
+                own = str(document.get("__dataclass__", "")).endswith(
+                    ":Result")
+                return own + sum(results_in(v) for v in document.values())
+            if isinstance(document, list):
+                return sum(results_in(v) for v in document)
+            return 0
+
+        sweep = Sweep(MonteCarlo(n_samples=20, seed_offset=1),
+                      over={"w_nm": (300.0, 600.0, 900.0)})
+        handle = session.submit(sweep)
+        result = handle.result()
+        partial = handle.partial()
+        assert [p.payload for p in partial["points"]] == [
+            p.payload for p in result.points]
+        assert results_in(encode(partial)) == 3
 
     def test_sharded_partial_snapshots_streamed_state(self, session):
         handle = session.submit(MonteCarlo(
