@@ -68,8 +68,9 @@ from repro.cluster.wire import (
 )
 from repro.obs import default_registry
 from repro.obs.trace import current_tracer, event, span
-from repro.runtime.executors import Executor, SerialExecutor, _SHARD_SECONDS
-from repro.runtime.executors import record_degradation
+from repro.runtime.executors import (
+    Executor, SerialExecutor, record_degradation, record_worker_timing,
+)
 from repro.runtime.sharding import Shard
 
 __all__ = [
@@ -827,42 +828,23 @@ class ClusterExecutor(Executor):
 
     def _synthesize_spans(self, worker: _RemoteWorker, lease: _Lease,
                           timing: dict, fresh: int) -> None:
-        """Worker-measured timings → parent-side timeline lanes.
+        """Worker-measured timings → parent-side metrics and timeline.
 
-        Same synthesis as ``ParallelExecutor``: per-shard
-        ``shard.execute`` spans laid out consecutively from the lease's
-        issue time, stamped with the worker's pid, plus the shipped hot
-        inner spans (``newton.solve``, ``plan.compile``) and one
-        ``cluster.lease`` span covering the lease round trip.
+        :func:`~repro.runtime.executors.record_worker_timing`, as for
+        ``ParallelExecutor``, from the lease's issue time and stamped
+        with the worker's name, plus one ``cluster.lease`` span covering
+        the lease round trip.
         """
         now = time.monotonic()
+        start = time.perf_counter() - (now - lease.issued)
         tracer = current_tracer()
-        for _, duration, _ in timing.get("shards", ()):
-            _SHARD_SECONDS.observe(duration)
-        if tracer is None:
-            return
-        end = time.perf_counter()
-        start = end - (now - lease.issued)
-        tracer.add_span(
-            "cluster.lease", tracer.offset(start), now - lease.issued,
-            worker=worker.name, lease=lease.lease_id,
-            shards=len(lease.shards), fresh=fresh, stolen=lease.status,
-        )
-        cursor = tracer.offset(start)
-        for index, duration, n_samples in timing.get("shards", ()):
+        if tracer is not None:
             tracer.add_span(
-                "shard.execute", cursor, duration,
-                pid=timing.get("pid"), shard=index, samples=n_samples,
-                executor=self.kind, worker=worker.name,
-                worker_pid=timing.get("pid"),
+                "cluster.lease", tracer.offset(start), now - lease.issued,
+                worker=worker.name, lease=lease.lease_id,
+                shards=len(lease.shards), fresh=fresh, stolen=lease.status,
             )
-            cursor += duration
-        base = tracer.offset(start)
-        for name, start_s, dur_s, args in timing.get("spans", ()):
-            tracer.add_span(
-                name, base + start_s, dur_s, pid=timing.get("pid"),
-                worker=worker.name, worker_pid=timing.get("pid"), **args,
-            )
+        record_worker_timing(timing, start, self.kind, worker=worker.name)
 
     def _sweep(self, state: _RunState) -> None:
         """Deadline pass: silent workers and expired leases."""

@@ -171,17 +171,26 @@ def validate_document(document: Any, allow_modules: Tuple[str, ...]) -> None:
     import buried inside a sweep axis value is as rejected as a
     top-level one.  Each tag must name an allowlisted module, carry an
     undotted qualname, and resolve to an object defined under an
-    allowed root (see the module docstring's trust-boundary note).
+    allowed root (see the module docstring's trust-boundary note).  A
+    document nested past the interpreter's recursion limit is rejected
+    as well.
     """
+    try:
+        _validate_walk(document, allow_modules)
+    except RecursionError:
+        raise BadRequest("document nests too deeply") from None
+
+
+def _validate_walk(document: Any, allow_modules: Tuple[str, ...]) -> None:
     if isinstance(document, dict):
         for tag in _IMPORT_TAGS:
             if tag in document:
                 _validate_tag(tag, str(document[tag]), allow_modules)
         for value in document.values():
-            validate_document(value, allow_modules)
+            _validate_walk(value, allow_modules)
     elif isinstance(document, list):
         for value in document:
-            validate_document(value, allow_modules)
+            _validate_walk(value, allow_modules)
 
 
 # ----------------------------------------------------------------------
@@ -219,9 +228,10 @@ def read_frame(
 
     Returns ``(header, blob)``, or ``None`` on a clean EOF between
     frames (the peer closed).  Raises :class:`WireError` on a truncated
-    or malformed frame, a bad magic, an oversized length prefix, or a
-    header whose tags fail :func:`validate_document`.  The *blob* is
-    returned opaque — decode it with :func:`restricted_loads`.
+    or malformed frame, a bad magic, an oversized length prefix, a
+    header nested past the recursion limit, or a header whose tags fail
+    :func:`validate_document`.  The *blob* is returned opaque — decode
+    it with :func:`restricted_loads`.
     """
     prefix = _recv_exact(sock, _PREFIX.size, boundary=True)
     if prefix is None:
@@ -239,6 +249,8 @@ def read_frame(
         header = json.loads(head)
     except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise WireError(f"frame header is not valid JSON: {exc}")
+    except RecursionError:
+        raise WireError("frame header nests too deeply") from None
     if not isinstance(header, dict) or "type" not in header:
         raise WireError("frame header must be an object with a 'type' key")
     validate_document(header, allow_modules)

@@ -4,7 +4,7 @@
 one agent: it dials the coordinator, announces itself (``hello`` with
 name/pid/concurrency), and then serves leases — each lease is a chunk
 of shards executed through the *same* coalescing path the process-pool
-executor uses (:func:`repro.runtime.executors._run_shard_chunk_timed`,
+executor uses (:func:`repro.runtime.executors._run_shard_chunk`,
 so ``FactoryMapTask.run_chunk`` batching, the per-process compiled-plan
 cache, and the shipped ``newton.solve``/``plan.compile`` spans all
 behave identically).  Results stream back as one frame per lease:
@@ -51,7 +51,7 @@ from repro.cluster.wire import (
     write_frame,
 )
 from repro.obs import get_logger, log_event
-from repro.runtime.executors import _run_shard_chunk_timed
+from repro.runtime.executors import _run_shard_chunk
 from repro.runtime.sharding import Shard
 
 import pickle
@@ -289,7 +289,7 @@ class WorkerAgent:
                 for d in header["shards"]
             ]
             started = time.perf_counter()
-            pairs, timing = _run_shard_chunk_timed(task, shards)
+            pairs, timing = _run_shard_chunk(task, shards, trace=True)
             blob = pickle.dumps((pairs, timing),
                                 protocol=pickle.HIGHEST_PROTOCOL)
         except Exception as exc:

@@ -16,14 +16,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.constants import T_NOMINAL
-from repro.devices.base import DeviceModel
+from repro.devices.base import DeviceModel, softplus
 from repro.devices.alphapower.params import AlphaPowerParams
 
 
 def _smooth_overdrive(vgs, vth, width):
     """Softplus-smoothed ``max(Vgs - VT, 0)``."""
     x = (np.asarray(vgs, dtype=float) - vth) / width
-    return width * np.logaddexp(0.0, x)
+    return width * softplus(x)
 
 
 class AlphaPowerDevice(DeviceModel):
@@ -75,10 +75,6 @@ class AlphaPowerDevice(DeviceModel):
         qd = -0.5 * q_gate - q_ov_d
         qs = -0.5 * q_gate - q_ov_s
         return qg, qd, qs
-
-    def idsat(self, vdd):
-        """On current ``Id(Vgs=Vds=Vdd)`` [A]."""
-        return self.ids(vdd, vdd, 0.0)
 
     def with_params(self, params: AlphaPowerParams) -> "AlphaPowerDevice":
         """New device sharing temperature but with a different card."""

@@ -15,17 +15,16 @@ which is part of the paper's point.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro import units
-from repro.devices.base import Polarity
+from repro.devices.base import DeviceCard, Polarity
 
 
 @dataclass(frozen=True)
-class AlphaPowerParams:
+class AlphaPowerParams(DeviceCard):
     """Alpha-power-law card (per-instance, geometry included)."""
 
     # --- geometry -----------------------------------------------------
@@ -49,48 +48,16 @@ class AlphaPowerParams:
 
     polarity: Polarity = Polarity.NMOS
 
-    @property
-    def w_si(self):
-        """Channel width [m]."""
-        return units.nm_to_m(np.asarray(self.w_nm, dtype=float))
-
-    @property
-    def l_si(self):
-        """Channel length [m]."""
-        return units.nm_to_m(np.asarray(self.l_nm, dtype=float))
+    _positive = ("w_nm", "l_nm", "b_a_per_m", "alpha", "pv", "smooth_v",
+                 "cox_uf_cm2")
 
     @property
     def cox_si(self):
         """Gate capacitance [F/m^2]."""
         return units.uf_cm2_to_si(np.asarray(self.cox_uf_cm2, dtype=float))
 
-    def replace(self, **changes) -> "AlphaPowerParams":
-        """Return a copy of the card with *changes* applied."""
-        return dataclasses.replace(self, **changes)
-
     def validate(self) -> None:
         """Raise ``ValueError`` for meaningless cards."""
-        positive = {
-            "w_nm": self.w_nm,
-            "l_nm": self.l_nm,
-            "b_a_per_m": self.b_a_per_m,
-            "alpha": self.alpha,
-            "pv": self.pv,
-            "smooth_v": self.smooth_v,
-            "cox_uf_cm2": self.cox_uf_cm2,
-        }
-        for name, value in positive.items():
-            if np.any(np.asarray(value, dtype=float) <= 0.0):
-                raise ValueError(f"AlphaPowerParams.{name} must be positive")
+        super().validate()
         if np.any(np.asarray(self.lam, dtype=float) < 0.0):
             raise ValueError("AlphaPowerParams.lam must be non-negative")
-
-    @property
-    def batch_shape(self):
-        """Broadcast shape of all varied fields (``()`` for scalar)."""
-        shape = ()
-        for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
-            if isinstance(value, np.ndarray):
-                shape = np.broadcast_shapes(shape, value.shape)
-        return shape

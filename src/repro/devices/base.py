@@ -31,15 +31,28 @@ Conventions
   :meth:`DeviceModel.iv_and_charges` finishes ONE fold and ONE core
   evaluation into both the I-V and the charge stamps, so a transient
   Newton iteration evaluates each device once.
+* Every formula exists once, so the analytic path's values are the value
+  path's by construction, not by a kept copy: a model's gradient core
+  calls its value core ``_core_normalized`` (which also returns the
+  intermediates the derivatives need) and adds only derivative terms;
+  the I-V finish is one function per model, shared by ``_ids_normalized``
+  and ``_ids_grad_normalized``; and the Ward–Dutton partition of a
+  linear channel-charge profile plus the overlap charges, values and
+  gradients, is :func:`ward_dutton` here, shared by both models.
+* Parameter cards derive from :class:`DeviceCard` (SI geometry,
+  ``replace``, the cached ``batch_shape`` and the positivity check).
 """
 
 from __future__ import annotations
 
 import abc
+import dataclasses
 import enum
 from typing import Tuple
 
 import numpy as np
+
+from repro import units
 
 #: Finite-difference step for terminal derivatives [V].  Large enough to be
 #: safe in float64 for currents spanning 1e-12..1e-2 A, small enough that the
@@ -52,6 +65,119 @@ class Polarity(enum.IntEnum):
 
     NMOS = 1
     PMOS = -1
+
+
+def softplus(x):
+    """Numerically safe ``ln(1 + exp(x))``."""
+    return np.logaddexp(0.0, x)
+
+
+def sigmoid(x):
+    """Numerically safe logistic ``1 / (1 + exp(-x))`` (softplus')."""
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
+
+
+def ward_dutton(vgs, vds, area, c_ov_d, c_ov_s, q_src, f, dq_src=None,
+                df=None):
+    """Terminal charges of a linear channel-charge profile plus overlaps.
+
+    The channel charge density runs linearly from *q_src* [C/m^2] at the
+    source end to ``q_src * (1 - f)`` at the drain end over the gate
+    *area*; Ward–Dutton partitioning gives the drain 1/6 of the source
+    density plus 1/3 of the drain density and the source the mirror
+    (electron charge: negative on the channel terminals, positive
+    mirror on the gate).  Bias-independent overlap/fringe capacitances
+    *c_ov_d* and *c_ov_s* [F] add ``c_ov_d (vgs - vds)`` and
+    ``c_ov_s vgs`` (normalized space: ``vs = 0``).  Charge is conserved
+    by construction (``qg + qd + qs = 0``).
+
+    Returns ``(qg, qd, qs)``.  Given the bias gradients *dq_src* and
+    *df* of *q_src* and *f* — ``(d/dvgs, d/dvds)`` pairs — it returns
+    ``((qg, qd, qs), grads)`` in the form of
+    ``DeviceModel._charges_grad_normalized``, the values computed by the
+    same operations either way.
+    """
+    keep = 1.0 - f
+    q_drn = q_src * keep
+    q_drain = area * (q_src / 6.0 + q_drn / 3.0)
+    q_source = area * (q_src / 3.0 + q_drn / 6.0)
+    vgs = np.asarray(vgs, dtype=float)
+    vds = np.asarray(vds, dtype=float)
+    q_ov_d = c_ov_d * (vgs - vds)
+    q_ov_s = c_ov_s * vgs
+    q = (q_drain + q_source + q_ov_d + q_ov_s,
+         -q_drain - q_ov_d,
+         -q_source - q_ov_s)
+    if dq_src is None:
+        return q
+    # Per bias direction: d(drain-end density), then the partition.
+    dq_drain, dq_source = [], []
+    for dq, dfk in zip(dq_src, df):
+        dq_drn = dq * keep - q_src * dfk
+        dq_drain.append(area * (dq / 6.0 + dq_drn / 3.0))
+        dq_source.append(area * (dq / 3.0 + dq_drn / 6.0))
+    (dd_g, dd_d), (ds_g, ds_d) = dq_drain, dq_source
+    zero = np.zeros(np.broadcast(vgs, vds, q_src).shape)
+    grads = {
+        "g": (dd_g + ds_g + c_ov_d + c_ov_s + zero,
+              dd_d + ds_d - c_ov_d + zero),
+        "d": (-dd_g - c_ov_d + zero, -dd_d + c_ov_d + zero),
+        "s": (-ds_g - c_ov_s + zero, -ds_d + zero),
+    }
+    return q, grads
+
+
+class DeviceCard:
+    """Behaviour shared by the frozen-dataclass parameter cards.
+
+    Every card carries its geometry as ``w_nm``/``l_nm`` and lists the
+    fields :meth:`validate` requires strictly positive in ``_positive``
+    (a plain class attribute, not a dataclass field).  Fields may be
+    floats or numpy arrays over the Monte-Carlo sample axis.
+    """
+
+    _positive: Tuple[str, ...] = ("w_nm", "l_nm")
+
+    @property
+    def w_si(self):
+        """Channel width [m]."""
+        return units.nm_to_m(np.asarray(self.w_nm, dtype=float))
+
+    @property
+    def l_si(self):
+        """Channel length [m]."""
+        return units.nm_to_m(np.asarray(self.l_nm, dtype=float))
+
+    def replace(self, **changes):
+        """Return a copy of the card with *changes* applied."""
+        return dataclasses.replace(self, **changes)
+
+    @property
+    def batch_shape(self):
+        """Broadcast shape of all varied fields (``()`` for a scalar card).
+
+        Cached on first access: the card is frozen and numpy array shapes
+        are fixed at construction, yet plan fingerprinting asks for this
+        on every solve of a sweep.
+        """
+        cached = self.__dict__.get("_batch_shape")
+        if cached is not None:
+            return cached
+        shape = ()
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, np.ndarray):
+                shape = np.broadcast_shapes(shape, value.shape)
+        object.__setattr__(self, "_batch_shape", shape)
+        return shape
+
+    def validate(self) -> None:
+        """Raise ``ValueError`` for physically meaningless cards."""
+        for name in self._positive:
+            if np.any(np.asarray(getattr(self, name), dtype=float) <= 0.0):
+                raise ValueError(
+                    f"{type(self).__name__}.{name} must be positive"
+                )
 
 
 def _fd_bias_points(vg, vd, vs, h):
@@ -116,9 +242,10 @@ class DeviceModel(abc.ABC):
         """Terminal charges ``(qg, qd, qs)`` [C] in normalized space."""
 
     #: Optional analytic-gradient hooks, all in normalized (NMOS-like,
-    #: vds >= 0) space.  ``_core_grad_normalized(vgs, vds)`` evaluates the
-    #: model core with closed-form bias gradients, in whatever form the
-    #: model likes; the other two finish that core:
+    #: vds >= 0) space.  ``_core_grad_normalized(vgs, vds)`` finishes the
+    #: model's value core ``_core_normalized`` with closed-form bias
+    #: gradients, in whatever form the model likes; the other two finish
+    #: it in turn, through the model's value finishes:
     #: ``_ids_grad_normalized(vgs, vds, core)`` returns the triple
     #: ``(ids, d ids/d vgs, d ids/d vds)`` and
     #: ``_charges_grad_normalized(vgs, vds, core)`` the pair
@@ -279,16 +406,20 @@ class DeviceModel(abc.ABC):
             ),
         )
 
-    def capacitance_matrix(self, vg, vd, vs):
-        """Return ``dq_i/dv_j`` as a dict ``{(i, j): value}``.
-
-        Terminals are labelled ``'g'``, ``'d'``, ``'s'``.
-        """
-        return self.charges_and_capacitance(vg, vd, vs)[1]
-
     def cgg(self, vg, vd, vs):
         """Total gate capacitance ``dQg/dVg`` [F] at the given bias."""
         h = _FD_STEP
         qg_p = self.charges(vg + h, vd, vs)[0]
         qg_m = self.charges(vg - h, vd, vs)[0]
         return (qg_p - qg_m) / (2 * h)
+
+    # ------------------------------------------------------------------
+    # Figures of merit.
+    # ------------------------------------------------------------------
+    def idsat(self, vdd):
+        """On current ``Id(Vgs=Vds=Vdd)`` [A]."""
+        return self.ids(vdd, vdd, 0.0)
+
+    def ioff(self, vdd):
+        """Off current ``Id(Vgs=0, Vds=Vdd)`` [A]."""
+        return self.ids(0.0, vdd, 0.0)

@@ -16,6 +16,10 @@ physics family BSIM4 belongs to):
 5. Smooth ``Vdseff`` and drift current with channel-length modulation:
    ``Id = (W/L) ueff Qch Vdseff / (1 + Vdseff/(Esat L)) * (1 + pclm (Vds - Vdseff))``.
 
+Terminal charges: a linear channel-charge profile from ``Qch`` at the
+source to ``Qch (1 - Vdseff/Vdsat)`` at the drain, Ward–Dutton
+partitioned by :func:`repro.devices.base.ward_dutton`, plus overlaps.
+
 This is intentionally a *different* model family from the VS device — the
 paper's experiment is precisely that the statistical VS model reproduces
 the statistics of a golden model with different internals.
@@ -26,18 +30,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.constants import thermal_voltage, T_NOMINAL
-from repro.devices.base import DeviceModel
+from repro.devices.base import DeviceModel, sigmoid, softplus, ward_dutton
 from repro.devices.bsim.params import BSIMParams
-
-
-def _softplus(x):
-    """Numerically safe ``ln(1 + exp(x))``."""
-    return np.logaddexp(0.0, x)
-
-
-def _sigmoid(x):
-    """Numerically safe logistic ``1 / (1 + exp(-x))`` (softplus')."""
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 class BSIMDevice(DeviceModel):
@@ -56,6 +50,14 @@ class BSIMDevice(DeviceModel):
         self.phit = thermal_voltage(temperature)
 
     # ------------------------------------------------------------------
+    def _dibl(self):
+        """Length-scaled DIBL coefficient [V/V]."""
+        p = self.params
+        return np.asarray(p.dibl, dtype=float) * (
+            np.asarray(p.l_dibl_nm, dtype=float)
+            / np.asarray(p.l_nm, dtype=float)
+        )
+
     def threshold_voltage(self, vds):
         """Short-channel threshold: roll-off plus DIBL."""
         p = self.params
@@ -63,13 +65,10 @@ class BSIMDevice(DeviceModel):
         rolloff = np.asarray(p.dvt_rolloff, dtype=float) * np.exp(
             -l_nm / np.asarray(p.l_rolloff_nm, dtype=float)
         )
-        dibl = np.asarray(p.dibl, dtype=float) * (
-            np.asarray(p.l_dibl_nm, dtype=float) / l_nm
-        )
         return (
             np.asarray(p.vth0, dtype=float)
             - rolloff
-            - dibl * np.asarray(vds, dtype=float)
+            - self._dibl() * np.asarray(vds, dtype=float)
         )
 
     def channel_charge(self, vgs, vds):
@@ -84,56 +83,25 @@ class BSIMDevice(DeviceModel):
         """Saturation voltage with thermal floor [V]."""
         return self._core_normalized(vgs, vds)[3]
 
-    def _vdseff(self, vgs, vds):
-        return self._core_normalized(vgs, vds)[4]
-
     def _core_normalized(self, vgs, vds):
-        """Single evaluation of ``(qch, ueff, esat_l, vdsat, vdseff)``.
+        """Single evaluation of ``(qch, ueff, esat_l, vdsat, vdseff, aux)``.
 
         The one place the transport-chain arithmetic lives: the public
-        piecewise methods above return slices of it, and the hot-loop
-        I-V/C-V hooks pay for the chain exactly once per bias point
-        instead of recomputing the channel charge three times.
+        piecewise methods above return slices of it, the hot-loop
+        I-V/C-V hooks pay for the chain exactly once per bias point, and
+        :meth:`_core_grad_normalized` finishes it.  ``aux = (x, vq, vq2,
+        mob_den, ratio, rm)`` holds the intermediates the gradient core
+        needs.
         """
         p = self.params
         n = np.asarray(p.nfactor, dtype=float)
         vth = self.threshold_voltage(vds)
         x = (np.asarray(vgs, dtype=float) - vth) / (n * self.phit)
-        qch = p.cox_si * n * self.phit * _softplus(x)
+        qch = p.cox_si * n * self.phit * softplus(x)
         vq = qch / p.cox_si
-        ueff = p.u0_si / (1.0 + np.asarray(p.theta_mob, dtype=float) * vq)
+        mob_den = 1.0 + np.asarray(p.theta_mob, dtype=float) * vq
+        ueff = p.u0_si / mob_den
         vq2 = np.sqrt(vq**2 + (2.0 * n * self.phit) ** 2)
-        esat_l = 2.0 * p.vsat_si / ueff * p.l_si
-        vdsat = esat_l * vq2 / (esat_l + vq2)
-        m = np.asarray(p.mexp, dtype=float)
-        vds = np.asarray(vds, dtype=float)
-        ratio = vds / vdsat
-        vdseff = vds / np.power(1.0 + np.power(ratio, m), 1.0 / m)
-        return qch, ueff, esat_l, vdsat, vdseff
-
-    def _core_grad_normalized(self, vgs, vds):
-        """Transport chain with closed-form bias gradients.
-
-        Returns ``(qch, ueff, esat_l, vdsat, vdseff, d)`` where ``d`` is
-        a dict of ``(d/dvgs, d/dvds)`` pairs for every chain quantity.
-        Value arithmetic repeats :meth:`_core_normalized` operation for
-        operation so residuals stay bitwise identical to the
-        finite-difference path.
-        """
-        p = self.params
-        n = np.asarray(p.nfactor, dtype=float)
-        l_nm = np.asarray(p.l_nm, dtype=float)
-        dibl = np.asarray(p.dibl, dtype=float) * (
-            np.asarray(p.l_dibl_nm, dtype=float) / l_nm
-        )
-        vth = self.threshold_voltage(vds)
-        nphit = n * self.phit
-        x = (np.asarray(vgs, dtype=float) - vth) / nphit
-        qch = p.cox_si * nphit * _softplus(x)
-        vq = qch / p.cox_si
-        theta = np.asarray(p.theta_mob, dtype=float)
-        ueff = p.u0_si / (1.0 + theta * vq)
-        vq2 = np.sqrt(vq**2 + (2.0 * nphit) ** 2)
         esat_l = 2.0 * p.vsat_si / ueff * p.l_si
         vdsat = esat_l * vq2 / (esat_l + vq2)
         m = np.asarray(p.mexp, dtype=float)
@@ -141,15 +109,30 @@ class BSIMDevice(DeviceModel):
         ratio = vds / vdsat
         rm = np.power(ratio, m)
         vdseff = vds / np.power(1.0 + rm, 1.0 / m)
+        return qch, ueff, esat_l, vdsat, vdseff, (x, vq, vq2, mob_den, ratio, rm)
+
+    def _core_grad_normalized(self, vgs, vds):
+        """The value core plus closed-form bias gradients.
+
+        Returns ``(core, d)``: the :meth:`_core_normalized` tuple itself
+        — so the analytic path's values are the value path's by
+        construction — and a dict of ``(d/dvgs, d/dvds)`` pairs for
+        every chain quantity.
+        """
+        core = self._core_normalized(vgs, vds)
+        _, ueff, esat_l, _, _, (x, vq, vq2, mob_den, ratio, rm) = core
+        p = self.params
+        cox = p.cox_si
+        theta = np.asarray(p.theta_mob, dtype=float)
+        m = np.asarray(p.mexp, dtype=float)
 
         # dx: vth depends on vds through DIBL only.
-        sig = _sigmoid(x)
-        dqch_g = p.cox_si * sig
-        dqch_d = p.cox_si * sig * dibl
+        sig = sigmoid(x)
+        dqch_g = cox * sig
+        dqch_d = cox * sig * self._dibl()
 
-        dvq_g = dqch_g / p.cox_si
-        dvq_d = dqch_d / p.cox_si
-        mob_den = 1.0 + theta * vq
+        dvq_g = dqch_g / cox
+        dvq_d = dqch_d / cox
         dueff_g = -ueff * theta * dvq_g / mob_den
         dueff_d = -ueff * theta * dvq_d / mob_den
 
@@ -180,137 +163,88 @@ class BSIMDevice(DeviceModel):
             "vdsat": (dvdsat_g, dvdsat_d),
             "vdseff": (dvdseff_g, dvdseff_d),
         }
-        return qch, ueff, esat_l, vdsat, vdseff, d
+        return core, d
 
     # ------------------------------------------------------------------
-    def _ids_normalized(self, vgs, vds):
+    # DeviceModel hooks: one I-V finish and one charge finish, each
+    # shared by the value and the gradient hook.
+    # ------------------------------------------------------------------
+    def _ids_from_core(self, vds, core):
+        """Drift current with velocity saturation and CLM (step 5).
+
+        Returns ``(ids, sat_den, clm)`` — the current and the two
+        factors its gradient reuses.
+        """
         p = self.params
-        qch, ueff, esat_l, _, vdseff = self._core_normalized(vgs, vds)
-        ids = (
-            (p.w_si / p.l_si)
-            * ueff
-            * qch
-            * vdseff
-            / (1.0 + vdseff / esat_l)
-        )
+        qch, ueff, esat_l, _, vdseff = core[:5]
+        sat_den = 1.0 + vdseff / esat_l
         clm = 1.0 + np.asarray(p.pclm, dtype=float) * (
             np.asarray(vds, dtype=float) - vdseff
         )
-        return ids * clm
+        ids = (p.w_si / p.l_si) * ueff * qch * vdseff / sat_den
+        return ids * clm, sat_den, clm
+
+    def _ids_normalized(self, vgs, vds):
+        return self._ids_from_core(vds, self._core_normalized(vgs, vds))[0]
 
     def _ids_grad_normalized(self, vgs, vds, core):
-        p = self.params
-        qch, ueff, esat_l, _, vdseff, d = core
+        value, d = core
+        ids, sat_den, clm = self._ids_from_core(vds, value)
+        qch, ueff, esat_l, _, vdseff = value[:5]
         (dqch_g, dqch_d) = d["qch"]
         (dueff_g, dueff_d) = d["ueff"]
         (desat_g, desat_d) = d["esat_l"]
         (dvdseff_g, dvdseff_d) = d["vdseff"]
 
-        sat_den = 1.0 + vdseff / esat_l
+        p = self.params
+        scale = p.w_si / p.l_si
         f = vdseff / sat_den
-        ids0 = (p.w_si / p.l_si) * ueff * qch * f
-        pclm = np.asarray(p.pclm, dtype=float)
-        vds = np.asarray(vds, dtype=float)
-        clm = 1.0 + pclm * (vds - vdseff)
-        ids = (
-            (p.w_si / p.l_si) * ueff * qch * vdseff / sat_den
-        ) * clm
-
+        ids0 = scale * ueff * qch * f
         # df = dvdseff/sat_den^2 + (vdseff/(esat_l*sat_den))^2 * desat.
         inv_den2 = 1.0 / sat_den**2
         fe = (vdseff / (esat_l * sat_den)) ** 2
         df_g = inv_den2 * dvdseff_g + fe * desat_g
         df_d = inv_den2 * dvdseff_d + fe * desat_d
 
-        scale = p.w_si / p.l_si
         dids0_g = scale * (dueff_g * qch * f + ueff * dqch_g * f + ueff * qch * df_g)
         dids0_d = scale * (dueff_d * qch * f + ueff * dqch_d * f + ueff * qch * df_d)
+        pclm = np.asarray(p.pclm, dtype=float)
         dclm_g = -pclm * dvdseff_g
         dclm_d = pclm * (1.0 - dvdseff_d)
         dig = dids0_g * clm + ids0 * dclm_g
         did = dids0_d * clm + ids0 * dclm_d
         return ids, dig, did
 
-    def _charges_normalized(self, vgs, vds):
+    def _charges_from_core(self, vgs, vds, core, d=None):
+        """Ward–Dutton charges of the ``Qch -> Qch (1 - Vdseff/Vdsat)``
+        profile; with the gradient dict *d* also their bias gradients."""
         p = self.params
-        area = p.w_si * p.l_si
-        qch_s, _, _, vdsat, vdseff = self._core_normalized(vgs, vds)
+        qch_s, _, _, vdsat, vdseff = core[:5]
         # Drain-end charge reduced by the local overdrive drop.
-        frac = np.clip(vdseff / vdsat, 0.0, 1.0)
-        qch_d = qch_s * (1.0 - frac)
-
-        q_drain = area * (qch_s / 6.0 + qch_d / 3.0)
-        q_source = area * (qch_s / 3.0 + qch_d / 6.0)
-        q_gate = q_drain + q_source
-
-        vgs = np.asarray(vgs, dtype=float)
-        vds = np.asarray(vds, dtype=float)
-        q_ov_d = np.asarray(p.cgdo_f_m, dtype=float) * p.w_si * (vgs - vds)
-        q_ov_s = np.asarray(p.cgso_f_m, dtype=float) * p.w_si * vgs
-
-        qg = q_gate + q_ov_d + q_ov_s
-        qd = -q_drain - q_ov_d
-        qs = -q_source - q_ov_s
-        return qg, qd, qs
-
-    def _charges_grad_normalized(self, vgs, vds, core):
-        p = self.params
-        area = p.w_si * p.l_si
-        qch_s, _, _, vdsat, vdseff, d = core
-        (dqch_g, dqch_d) = d["qch"]
-        (dvdsat_g, dvdsat_d) = d["vdsat"]
-        (dvdseff_g, dvdseff_d) = d["vdseff"]
-
         raw = vdseff / vdsat
         frac = np.clip(raw, 0.0, 1.0)
+        args = (vgs, vds, p.w_si * p.l_si,
+                np.asarray(p.cgdo_f_m, dtype=float) * p.w_si,
+                np.asarray(p.cgso_f_m, dtype=float) * p.w_si, qch_s, frac)
+        if d is None:
+            return ward_dutton(*args)
         # The clip only binds at the boundary (0 <= vdseff/vdsat < 1 by
         # construction); where it does, the derivative is zero.
         active = (raw > 0.0) & (raw < 1.0)
-        dfrac_g = np.where(
-            active, (dvdseff_g * vdsat - vdseff * dvdsat_g) / vdsat**2, 0.0
+        dfrac = tuple(
+            np.where(active, (dv_eff * vdsat - vdseff * dv_sat) / vdsat**2,
+                     0.0)
+            for dv_eff, dv_sat in zip(d["vdseff"], d["vdsat"])
         )
-        dfrac_d = np.where(
-            active, (dvdseff_d * vdsat - vdseff * dvdsat_d) / vdsat**2, 0.0
+        return ward_dutton(*args, d["qch"], dfrac)
+
+    def _charges_normalized(self, vgs, vds):
+        return self._charges_from_core(
+            vgs, vds, self._core_normalized(vgs, vds)
         )
-        qch_d_end = qch_s * (1.0 - frac)
-        dqchd_g = dqch_g * (1.0 - frac) - qch_s * dfrac_g
-        dqchd_d = dqch_d * (1.0 - frac) - qch_s * dfrac_d
 
-        q_drain = area * (qch_s / 6.0 + qch_d_end / 3.0)
-        q_source = area * (qch_s / 3.0 + qch_d_end / 6.0)
-        q_gate = q_drain + q_source
-        dq_drain_g = area * (dqch_g / 6.0 + dqchd_g / 3.0)
-        dq_drain_d = area * (dqch_d / 6.0 + dqchd_d / 3.0)
-        dq_source_g = area * (dqch_g / 3.0 + dqchd_g / 6.0)
-        dq_source_d = area * (dqch_d / 3.0 + dqchd_d / 6.0)
-
-        vgs = np.asarray(vgs, dtype=float)
-        vds = np.asarray(vds, dtype=float)
-        c_ov_d = np.asarray(p.cgdo_f_m, dtype=float) * p.w_si
-        c_ov_s = np.asarray(p.cgso_f_m, dtype=float) * p.w_si
-        q_ov_d = c_ov_d * (vgs - vds)
-        q_ov_s = c_ov_s * vgs
-
-        qg = q_gate + q_ov_d + q_ov_s
-        qd = -q_drain - q_ov_d
-        qs = -q_source - q_ov_s
-        zero = np.zeros(np.broadcast(vgs, vds, qch_s).shape)
-        grads = {
-            "g": (dq_drain_g + dq_source_g + c_ov_d + c_ov_s + zero,
-                  dq_drain_d + dq_source_d - c_ov_d + zero),
-            "d": (-dq_drain_g - c_ov_d + zero, -dq_drain_d + c_ov_d + zero),
-            "s": (-dq_source_g - c_ov_s + zero, -dq_source_d + zero),
-        }
-        return (qg, qd, qs), grads
-
-    # ------------------------------------------------------------------
-    def idsat(self, vdd):
-        """On current ``Id(Vgs=Vds=Vdd)`` [A]."""
-        return self.ids(vdd, vdd, 0.0)
-
-    def ioff(self, vdd):
-        """Off current ``Id(Vgs=0, Vds=Vdd)`` [A]."""
-        return self.ids(0.0, vdd, 0.0)
+    def _charges_grad_normalized(self, vgs, vds, core):
+        return self._charges_from_core(vgs, vds, *core)
 
     def with_params(self, params: BSIMParams) -> "BSIMDevice":
         """New device sharing temperature/derivative mode, new card."""

@@ -17,17 +17,16 @@ Units match :class:`repro.devices.vs.params.VSParams` conventions.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro import units
-from repro.devices.base import Polarity
+from repro.devices.base import DeviceCard, Polarity
 
 
 @dataclass(frozen=True)
-class BSIMParams:
+class BSIMParams(DeviceCard):
     """BSIM4-lite card (per-instance, geometry included)."""
 
     # --- geometry -----------------------------------------------------
@@ -60,17 +59,12 @@ class BSIMParams:
 
     polarity: Polarity = Polarity.NMOS
 
+    _positive = ("w_nm", "l_nm", "u0_cm2", "vsat_cm_s", "cox_uf_cm2",
+                 "nfactor", "mexp")
+
     # ------------------------------------------------------------------
-    @property
-    def w_si(self):
-        """Channel width [m]."""
-        return units.nm_to_m(np.asarray(self.w_nm, dtype=float))
-
-    @property
-    def l_si(self):
-        """Channel length [m]."""
-        return units.nm_to_m(np.asarray(self.l_nm, dtype=float))
-
+    # SI accessors (w_si / l_si come from DeviceCard).
+    # ------------------------------------------------------------------
     @property
     def cox_si(self):
         """Oxide capacitance [F/m^2]."""
@@ -85,41 +79,3 @@ class BSIMParams:
     def vsat_si(self):
         """Saturation velocity [m/s]."""
         return units.cm_s_to_si(np.asarray(self.vsat_cm_s, dtype=float))
-
-    def replace(self, **changes) -> "BSIMParams":
-        """Return a copy of the card with *changes* applied."""
-        return dataclasses.replace(self, **changes)
-
-    @property
-    def batch_shape(self):
-        """Broadcast shape of all varied fields (``()`` for a scalar card).
-
-        Cached on first access: the card is frozen and numpy array shapes
-        are fixed at construction, yet plan fingerprinting asks for this
-        on every solve of a sweep.
-        """
-        cached = self.__dict__.get("_batch_shape")
-        if cached is not None:
-            return cached
-        shape = ()
-        for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
-            if isinstance(value, np.ndarray):
-                shape = np.broadcast_shapes(shape, value.shape)
-        object.__setattr__(self, "_batch_shape", shape)
-        return shape
-
-    def validate(self) -> None:
-        """Raise ``ValueError`` for physically meaningless cards."""
-        positive = {
-            "w_nm": self.w_nm,
-            "l_nm": self.l_nm,
-            "u0_cm2": self.u0_cm2,
-            "vsat_cm_s": self.vsat_cm_s,
-            "cox_uf_cm2": self.cox_uf_cm2,
-            "nfactor": self.nfactor,
-            "mexp": self.mexp,
-        }
-        for name, value in positive.items():
-            if np.any(np.asarray(value, dtype=float) <= 0.0):
-                raise ValueError(f"BSIMParams.{name} must be positive")

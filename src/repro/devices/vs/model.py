@@ -20,8 +20,9 @@ formulation of the MVS 1.0.1 model [Khakifirooz 2009, Wei 2012].
 The quasi-static terminal charges use a linear channel-charge profile
 between the source-end density ``Qixo`` and a drain-end density
 ``Qixd = Qixo * (1 - Fs)`` (uniform channel at Vds=0, pinched off in deep
-saturation), Ward–Dutton partitioned; overlap/fringe capacitance is added
-as bias-independent per-width charge.  Charge is conserved by construction
+saturation), Ward–Dutton partitioned by :func:`repro.devices.base.
+ward_dutton`; overlap/fringe capacitance is added as bias-independent
+per-width charge.  Charge is conserved by construction
 (``qg + qd + qs = 0``), which the transient engine relies on.
 """
 
@@ -30,13 +31,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.constants import thermal_voltage, T_NOMINAL
-from repro.devices.base import DeviceModel
+from repro.devices.base import DeviceModel, sigmoid, softplus, ward_dutton
 from repro.devices.vs.params import VSParams
-
-
-def _softplus(x):
-    """Numerically safe ``ln(1 + exp(x))``."""
-    return np.logaddexp(0.0, x)
 
 
 def _fermi(x):
@@ -49,8 +45,10 @@ def _apply_temperature(params: VSParams, temperature: float) -> VSParams:
 
     Standard compact-model laws: power-law mobility degradation (phonon
     scattering), a weaker power law on the injection velocity, and a
-    linear threshold-voltage coefficient.  At ``T == t_ref_k`` the card
-    is returned untouched.
+    linear threshold-voltage coefficient.  The scaled card records
+    *temperature* as its ``t_ref_k`` (the laws compose, so that is the
+    same physics), and at ``T == t_ref_k`` the card is returned
+    untouched: scaling a scaled card again is the identity.
     """
     t_ref = float(np.asarray(params.t_ref_k, dtype=float))
     if temperature == t_ref:
@@ -67,12 +65,8 @@ def _apply_temperature(params: VSParams, temperature: float) -> VSParams:
     vt0 = np.asarray(params.vt0, dtype=float) + float(
         np.asarray(params.vt0_tc_v_k)
     ) * (temperature - t_ref)
-    return params.replace(mu_cm2=mu, vxo_cm_s=vxo, vt0=vt0)
-
-
-def _sigmoid(x):
-    """Numerically safe logistic ``1 / (1 + exp(-x))`` (softplus')."""
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
+    return params.replace(mu_cm2=mu, vxo_cm_s=vxo, vt0=vt0,
+                          t_ref_k=temperature)
 
 
 class VSDevice(DeviceModel):
@@ -117,7 +111,6 @@ class VSDevice(DeviceModel):
         vxo_si = p.vxo_si
         vdsat_strong = vxo_si * p.l_si / p.mu_si
         consts = {
-            "n": n,
             "alpha_phit": alpha_phit,
             "half_shift": alpha_phit / 2.0,
             "nphit": n * phit,
@@ -141,8 +134,8 @@ class VSDevice(DeviceModel):
 
     def threshold_voltage(self, vds):
         """Bias-dependent threshold ``VT = VT0 - delta(Leff) Vds`` (Eq. 4)."""
-        p = self.params
-        return np.asarray(p.vt0, dtype=float) - p.dibl() * np.asarray(vds, dtype=float)
+        c = self._consts()
+        return c["vt0"] - c["delta"] * np.asarray(vds, dtype=float)
 
     def inversion_charge_density(self, vgs, vds):
         """Virtual-source inversion charge density ``Qixo`` [C/m^2]."""
@@ -162,56 +155,47 @@ class VSDevice(DeviceModel):
         return self._core_normalized(vgs, vds)[1]
 
     def _core_normalized(self, vgs, vds):
-        """Single evaluation of ``(Qixo, Fs, Vdsat)``.
+        """Single evaluation of ``(Qixo, Fs, Vdsat, aux)``.
 
         The threshold and Fermi blend are shared by the charge density
         and the saturation chain; this is the one place the Eq. 2-4
         arithmetic lives — the public piecewise methods above return
-        slices of it, and the hot-loop I-V/C-V hooks below pay for it
-        exactly once per bias point.
+        slices of it, the hot-loop I-V/C-V hooks below pay for it
+        exactly once per bias point, and :meth:`_core_grad_normalized`
+        finishes it.  ``aux = (ff, x, ratio, rbeta)`` holds the
+        intermediates the gradient core needs.
         """
         c = self._consts()
         phit = self.phit
         alpha_phit = c["alpha_phit"]
         vds = np.asarray(vds, dtype=float)
-        vt = c["vt0"] - c["delta"] * vds
+        vt = self.threshold_voltage(vds)
         vgs = np.asarray(vgs, dtype=float)
         # Fermi blend between weak inversion (ff ~ 1) and strong (ff ~ 0):
         ff = _fermi((vgs - (vt - c["half_shift"])) / alpha_phit)
         veff = vgs - (vt - alpha_phit * ff)
-        qixo = c["cq"] * _softplus(veff / c["nphit"])
-
-        vdsat = c["vdsat_strong"] * (1.0 - ff) + phit * ff
-        ratio = vds / vdsat
-        fs = ratio / np.power(1.0 + np.power(ratio, c["beta"]), c["inv_beta"])
-        return qixo, fs, vdsat
-
-    def _core_grad_normalized(self, vgs, vds):
-        """Eq. 2-4 chain with closed-form bias gradients.
-
-        Returns ``(qixo, fs, dqixo, dfs)`` where each ``d*`` is the pair
-        ``(d/dvgs, d/dvds)``.  The value arithmetic repeats
-        :meth:`_core_normalized` operation for operation so the analytic
-        path's residual is bitwise the finite-difference path's — only
-        the Jacobian changes.
-        """
-        c = self._consts()
-        phit = self.phit
-        alpha_phit = c["alpha_phit"]
-        delta = c["delta"]
-        vds = np.asarray(vds, dtype=float)
-        vt = c["vt0"] - delta * vds
-        vgs = np.asarray(vgs, dtype=float)
-
-        ff = _fermi((vgs - (vt - c["half_shift"])) / alpha_phit)
-        veff = vgs - (vt - alpha_phit * ff)
         x = veff / c["nphit"]
-        qixo = c["cq"] * _softplus(x)
+        qixo = c["cq"] * softplus(x)
 
         vdsat = c["vdsat_strong"] * (1.0 - ff) + phit * ff
         ratio = vds / vdsat
         rbeta = np.power(ratio, c["beta"])
         fs = ratio / np.power(1.0 + rbeta, c["inv_beta"])
+        return qixo, fs, vdsat, (ff, x, ratio, rbeta)
+
+    def _core_grad_normalized(self, vgs, vds):
+        """The value core plus closed-form bias gradients.
+
+        Returns ``(core, dqixo, dfs)``: the :meth:`_core_normalized`
+        tuple itself — so the analytic path's values are the value
+        path's by construction — and the ``(d/dvgs, d/dvds)`` pairs of
+        ``Qixo`` and ``Fs``.
+        """
+        core = self._core_normalized(vgs, vds)
+        _, _, vdsat, (ff, x, ratio, rbeta) = core
+        c = self._consts()
+        alpha_phit = c["alpha_phit"]
+        delta = c["delta"]
 
         # d ff / d u with u the fermi argument; du/dvgs = 1/alpha_phit,
         # du/dvds = delta/alpha_phit (through VT = VT0 - delta*Vds).
@@ -224,7 +208,7 @@ class VSDevice(DeviceModel):
         dveff_g = 1.0 + alpha_phit * dff_g
         dveff_d = delta + alpha_phit * dff_d
 
-        sig = _sigmoid(x)
+        sig = sigmoid(x)
         cinv = c["cinv"]
         dqixo_g = cinv * sig * dveff_g
         dqixo_d = cinv * sig * dveff_d
@@ -241,94 +225,44 @@ class VSDevice(DeviceModel):
         dfs_dr = np.power(1.0 + rbeta, c["neg_exp"])
         dfs_g = dfs_dr * dratio_g
         dfs_d = dfs_dr * dratio_d
-        return qixo, fs, (dqixo_g, dqixo_d), (dfs_g, dfs_d)
+        return core, (dqixo_g, dqixo_d), (dfs_g, dfs_d)
 
     # ------------------------------------------------------------------
-    # DeviceModel hooks.
+    # DeviceModel hooks: one I-V finish and one charge finish, each
+    # shared by the value and the gradient hook.
     # ------------------------------------------------------------------
-    def _ids_normalized(self, vgs, vds):
+    def _ids_from_core(self, core):
+        """``Id = W Fs Qixo vxo`` (Eq. 2) of a value core."""
         c = self._consts()
-        qixo, fs, _ = self._core_normalized(vgs, vds)
+        qixo, fs = core[0], core[1]
         return c["w_si"] * fs * qixo * c["vxo_si"]
 
+    def _ids_normalized(self, vgs, vds):
+        return self._ids_from_core(self._core_normalized(vgs, vds))
+
     def _ids_grad_normalized(self, vgs, vds, core):
+        value, (dqixo_g, dqixo_d), (dfs_g, dfs_d) = core
+        qixo, fs = value[0], value[1]
         c = self._consts()
-        qixo, fs, (dqixo_g, dqixo_d), (dfs_g, dfs_d) = core
         scale = c["w_si"] * c["vxo_si"]
-        ids = c["w_si"] * fs * qixo * c["vxo_si"]
         dig = scale * (dfs_g * qixo + fs * dqixo_g)
         did = scale * (dfs_d * qixo + fs * dqixo_d)
-        return ids, dig, did
+        return self._ids_from_core(value), dig, did
+
+    def _charges_from_core(self, vgs, vds, core, *grads):
+        """Ward–Dutton charges of the ``Qixo -> Qixo (1 - Fs)`` profile;
+        with *grads* ``(dqixo, dfs)`` also their bias gradients."""
+        c = self._consts()
+        return ward_dutton(vgs, vds, c["area"], c["c_ov_d"], c["c_ov_s"],
+                           core[0], core[1], *grads)
 
     def _charges_normalized(self, vgs, vds):
-        c = self._consts()
-        area = c["area"]
-        qixo, fs, _ = self._core_normalized(vgs, vds)
-        qixd = qixo * (1.0 - fs)
-
-        # Ward-Dutton partition of a linear charge profile from source-end
-        # density qixo to drain-end density qixd (electron charge: negative
-        # on the channel terminals, positive mirror on the gate).
-        q_drain = area * (qixo / 6.0 + qixd / 3.0)
-        q_source = area * (qixo / 3.0 + qixd / 6.0)
-        q_gate = q_drain + q_source
-
-        # Overlap / fringe charge (normalized space: vs = 0).
-        vgs = np.asarray(vgs, dtype=float)
-        vds = np.asarray(vds, dtype=float)
-        q_ov_d = c["c_ov_d"] * (vgs - vds)
-        q_ov_s = c["c_ov_s"] * vgs
-
-        qg = q_gate + q_ov_d + q_ov_s
-        qd = -q_drain - q_ov_d
-        qs = -q_source - q_ov_s
-        return qg, qd, qs
+        return self._charges_from_core(
+            vgs, vds, self._core_normalized(vgs, vds)
+        )
 
     def _charges_grad_normalized(self, vgs, vds, core):
-        c = self._consts()
-        area = c["area"]
-        qixo, fs, (dqixo_g, dqixo_d), (dfs_g, dfs_d) = core
-        qixd = qixo * (1.0 - fs)
-        dqixd_g = dqixo_g * (1.0 - fs) - qixo * dfs_g
-        dqixd_d = dqixo_d * (1.0 - fs) - qixo * dfs_d
-
-        q_drain = area * (qixo / 6.0 + qixd / 3.0)
-        q_source = area * (qixo / 3.0 + qixd / 6.0)
-        q_gate = q_drain + q_source
-        dq_drain_g = area * (dqixo_g / 6.0 + dqixd_g / 3.0)
-        dq_drain_d = area * (dqixo_d / 6.0 + dqixd_d / 3.0)
-        dq_source_g = area * (dqixo_g / 3.0 + dqixd_g / 6.0)
-        dq_source_d = area * (dqixo_d / 3.0 + dqixd_d / 6.0)
-
-        vgs = np.asarray(vgs, dtype=float)
-        vds = np.asarray(vds, dtype=float)
-        c_ov_d = c["c_ov_d"]
-        c_ov_s = c["c_ov_s"]
-        q_ov_d = c_ov_d * (vgs - vds)
-        q_ov_s = c_ov_s * vgs
-
-        qg = q_gate + q_ov_d + q_ov_s
-        qd = -q_drain - q_ov_d
-        qs = -q_source - q_ov_s
-        zero = np.zeros(np.broadcast(vgs, vds, qixo).shape)
-        grads = {
-            "g": (dq_drain_g + dq_source_g + c_ov_d + c_ov_s + zero,
-                  dq_drain_d + dq_source_d - c_ov_d + zero),
-            "d": (-dq_drain_g - c_ov_d + zero, -dq_drain_d + c_ov_d + zero),
-            "s": (-dq_source_g - c_ov_s + zero, -dq_source_d + zero),
-        }
-        return (qg, qd, qs), grads
-
-    # ------------------------------------------------------------------
-    # Convenience figure-of-merit extraction.
-    # ------------------------------------------------------------------
-    def idsat(self, vdd):
-        """On current ``Id(Vgs=Vds=Vdd)`` [A]."""
-        return self.ids(vdd, vdd, 0.0)
-
-    def ioff(self, vdd):
-        """Off current ``Id(Vgs=0, Vds=Vdd)`` [A]."""
-        return self.ids(0.0, vdd, 0.0)
+        return self._charges_from_core(vgs, vds, *core)
 
     def with_params(self, params: VSParams) -> "VSDevice":
         """New device sharing temperature/derivative mode, new card."""

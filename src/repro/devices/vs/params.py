@@ -16,17 +16,16 @@ axis, and the whole evaluation chain broadcasts.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro import units
-from repro.devices.base import Polarity
+from repro.devices.base import DeviceCard, Polarity
 
 
 @dataclass(frozen=True)
-class VSParams:
+class VSParams(DeviceCard):
     """Virtual Source model card (per-instance, geometry included)."""
 
     # --- geometry -----------------------------------------------------
@@ -66,19 +65,12 @@ class VSParams:
 
     polarity: Polarity = Polarity.NMOS
 
-    # ------------------------------------------------------------------
-    # SI accessors.
-    # ------------------------------------------------------------------
-    @property
-    def w_si(self):
-        """Channel width [m]."""
-        return units.nm_to_m(np.asarray(self.w_nm, dtype=float))
+    _positive = ("w_nm", "l_nm", "cinv_uf_cm2", "mu_cm2", "vxo_cm_s", "n0",
+                 "beta", "alpha_sm", "lambda_mfp_nm", "l_crit_nm")
 
-    @property
-    def l_si(self):
-        """Channel length [m]."""
-        return units.nm_to_m(np.asarray(self.l_nm, dtype=float))
-
+    # ------------------------------------------------------------------
+    # SI accessors (w_si / l_si come from DeviceCard).
+    # ------------------------------------------------------------------
     @property
     def cinv_si(self):
         """Gate-to-channel capacitance [F/m^2]."""
@@ -112,45 +104,8 @@ class VSParams:
             -(l_nm - np.asarray(self.l_ref_nm)) / np.asarray(self.l_delta_nm)
         )
 
-    def replace(self, **changes) -> "VSParams":
-        """Return a copy of the card with *changes* applied."""
-        return dataclasses.replace(self, **changes)
-
     def validate(self) -> None:
         """Raise ``ValueError`` for physically meaningless cards."""
-        checks = {
-            "w_nm": self.w_nm,
-            "l_nm": self.l_nm,
-            "cinv_uf_cm2": self.cinv_uf_cm2,
-            "mu_cm2": self.mu_cm2,
-            "vxo_cm_s": self.vxo_cm_s,
-            "n0": self.n0,
-            "beta": self.beta,
-            "alpha_sm": self.alpha_sm,
-            "lambda_mfp_nm": self.lambda_mfp_nm,
-            "l_crit_nm": self.l_crit_nm,
-        }
-        for name, value in checks.items():
-            if np.any(np.asarray(value, dtype=float) <= 0.0):
-                raise ValueError(f"VSParams.{name} must be positive")
+        super().validate()
         if np.any(np.asarray(self.n0, dtype=float) < 1.0):
             raise ValueError("VSParams.n0 must be >= 1 (subthreshold swing factor)")
-
-    @property
-    def batch_shape(self):
-        """Broadcast shape of all varied fields (``()`` for a scalar card).
-
-        Cached on first access: the card is frozen and numpy array shapes
-        are fixed at construction, yet plan fingerprinting asks for this
-        on every solve of a sweep.
-        """
-        cached = self.__dict__.get("_batch_shape")
-        if cached is not None:
-            return cached
-        shape = ()
-        for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
-            if isinstance(value, np.ndarray):
-                shape = np.broadcast_shapes(shape, value.shape)
-        object.__setattr__(self, "_batch_shape", shape)
-        return shape

@@ -32,11 +32,11 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.obs import default_registry, get_logger, log_event
-from repro.obs.trace import current_tracer, span
+from repro.obs.trace import Tracer, activate, current_tracer, span
 from repro.runtime.sharding import Shard
 
 __all__ = ["Executor", "SerialExecutor", "ParallelExecutor",
-           "record_degradation", "resolve_executor"]
+           "record_degradation", "record_worker_timing", "resolve_executor"]
 
 _REGISTRY = default_registry()
 _SHARDS = _REGISTRY.counter(
@@ -93,10 +93,15 @@ def _chunk_runner(task: Callable) -> Optional[Callable]:
     return None
 
 
+#: Worker-side span names worth shipping back for the parent timeline
+#: (scheduling metadata only — payloads never ride in the timing dict).
+_SHIPPED_SPANS = frozenset({"newton.solve", "plan.compile"})
+
+
 def _run_shard_chunk(
-    task: Callable, chunk: Sequence[Shard]
-) -> List[Tuple[int, object]]:
-    """Evaluate several shards in one submission.
+    task: Callable, chunk: Sequence[Shard], trace: bool = False
+) -> Tuple[List[Tuple[int, object]], dict]:
+    """Evaluate several shards in one submission, timing each.
 
     Chunking bounds the number of times the task — which may embed a
     whole characterized technology or timing graph — crosses the
@@ -104,35 +109,19 @@ def _run_shard_chunk(
     also the coalescing unit: a task with a chunk runner (see
     :func:`_chunk_runner`) evaluates its whole chunk in one batched
     call, results split back per shard.
+
+    Returns ``(pairs, timing)``.  The timing dict rides back *next to*
+    the payload list, never inside it, so results are bit-identical
+    whatever is measured: ``"pid"`` and ``"shards"``, one
+    ``(first shard index, seconds, samples)`` entry per shard (per
+    coalesced chunk), always — the parent's ``repro_shard_seconds``
+    histogram needs them on every run.  With *trace* (the parent is
+    tracing; cluster workers always) a worker-local tracer also captures
+    the hot inner spans (``newton.solve``, ``plan.compile``), shipped as
+    plain tuples under ``"spans"``.  :func:`record_worker_timing` lays
+    the dict onto the parent's metrics and trace.
     """
-    run_chunk = _chunk_runner(task)
-    if run_chunk is not None:
-        return run_chunk(chunk)
-    return [_run_shard(task, shard) for shard in chunk]
-
-
-#: Worker-side span names worth shipping back for the parent timeline
-#: (scheduling metadata only — payloads never ride in the timing dict).
-_SHIPPED_SPANS = frozenset({"newton.solve", "plan.compile"})
-
-
-def _run_shard_chunk_timed(
-    task: Callable, chunk: Sequence[Shard]
-) -> Tuple[List[Tuple[int, object]], dict]:
-    """:func:`_run_shard_chunk` plus per-shard timing attribution.
-
-    Used only when a tracer is active on the parent side.  The timing
-    dict rides back *next to* the payload list, never inside it — the
-    runner merges payloads exactly as in the untraced path, so results
-    are bit-identical with and without tracing.  A worker-local tracer
-    additionally captures the hot inner spans (``newton.solve``,
-    ``plan.compile``); their records ship back as plain tuples under
-    ``"spans"`` for parent-side synthesis next to the per-shard
-    ``shard.execute`` lanes.
-    """
-    from repro.obs.trace import Tracer, activate
-
-    tracer = Tracer()
+    tracer = Tracer() if trace else None
     results: List[Tuple[int, object]] = []
     timings: List[Tuple[int, float, int]] = []
     run_chunk = _chunk_runner(task)
@@ -152,12 +141,45 @@ def _run_shard_chunk_timed(
                 timings.append(
                     (shard.index, time.perf_counter() - start, shard.n_samples)
                 )
-    spans = [
+    spans = [] if tracer is None else [
         (rec["name"], rec["start_s"], rec["dur_s"], rec["args"])
         for rec in tracer.records
         if rec["ph"] == "X" and rec["name"] in _SHIPPED_SPANS
     ]
     return results, {"pid": os.getpid(), "shards": timings, "spans": spans}
+
+
+def record_worker_timing(timing: dict, start: float, executor_kind: str,
+                         **lane) -> None:
+    """Lay one chunk's worker-measured timing onto the parent.
+
+    Every shard duration goes into ``repro_shard_seconds``, traced or
+    not.  Under an active tracer the shards become consecutive
+    ``shard.execute`` spans from *start* (a ``time.perf_counter``
+    reading: the chunk ran back to back from roughly then), stamped
+    with the worker's pid and the *lane* attributes, and the shipped
+    inner spans land on the same lane — a faithful per-worker lane in
+    the Chrome view.  Shared by the process pool and the cluster
+    coordinator.
+    """
+    tracer = current_tracer()
+    pid = timing.get("pid")
+    base = None if tracer is None else tracer.offset(start)
+    cursor = base
+    for index, duration, n_samples in timing.get("shards", ()):
+        _SHARD_SECONDS.observe(duration)
+        if tracer is not None:
+            tracer.add_span(
+                "shard.execute", cursor, duration, pid=pid, shard=index,
+                samples=n_samples, executor=executor_kind, **lane,
+                worker_pid=pid,
+            )
+            cursor += duration
+    if tracer is None:
+        return
+    for name, start_s, dur_s, args in timing.get("spans", ()):
+        tracer.add_span(name, base + start_s, dur_s, pid=pid, **lane,
+                        worker_pid=pid, **args)
 
 
 def _warmup() -> bool:
@@ -298,47 +320,20 @@ class ParallelExecutor(Executor):
         # once per chunk instead of once per shard.
         n_chunks = min(self.workers, len(shards))
         chunks = [list(shards[i::n_chunks]) for i in range(n_chunks)]
-        tracer = current_tracer()
+        trace = current_tracer() is not None
         with span("executor.submit", chunks=n_chunks, shards=len(shards),
                   task_bytes=probed[2]):
-            worker = _run_shard_chunk_timed if tracer is not None \
-                else _run_shard_chunk
             submitted = time.perf_counter()
             futures = [
-                pool.submit(worker, task, chunk) for chunk in chunks
+                pool.submit(_run_shard_chunk, task, chunk, trace)
+                for chunk in chunks
             ]
         _PICKLE_BYTES.inc(probed[2] * n_chunks)
         results: List[Tuple[int, object]] = []
         for future in futures:
-            outcome = future.result()
-            if tracer is None:
-                results.extend(outcome)
-                continue
-            pairs, timing = outcome
+            pairs, timing = future.result()
             results.extend(pairs)
-            # Per-shard worker attribution, synthesized parent-side:
-            # shards of one chunk ran back to back from roughly the
-            # submit time, so laying their measured durations out
-            # consecutively gives a faithful per-worker lane in the
-            # Chrome view (stamped with the worker pid).
-            cursor = tracer.offset(submitted)
-            for index, duration, n_samples in timing["shards"]:
-                tracer.add_span(
-                    "shard.execute", cursor, duration,
-                    pid=timing["pid"], shard=index, samples=n_samples,
-                    executor=self.kind, worker_pid=timing["pid"],
-                )
-                cursor += duration
-                _SHARD_SECONDS.observe(duration)
-            # Hot inner spans measured by the worker's own tracer
-            # (newton.solve, plan.compile) land on the same worker
-            # lane; their clocks start at chunk start ~= submit time.
-            base = tracer.offset(submitted)
-            for name, start_s, dur_s, args in timing.get("spans", ()):
-                tracer.add_span(
-                    name, base + start_s, dur_s, pid=timing["pid"],
-                    worker_pid=timing["pid"], **args,
-                )
+            record_worker_timing(timing, submitted, self.kind)
         _SHARDS.inc(len(shards))
         return results
 

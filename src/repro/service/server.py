@@ -190,6 +190,8 @@ class _Handler(BaseHTTPRequestHandler):
             return json.loads(raw)
         except json.JSONDecodeError as exc:
             raise BadRequest(f"request body is not valid JSON: {exc}")
+        except RecursionError:
+            raise BadRequest("request body nests too deeply") from None
 
     def _dispatch(self, method: str) -> None:
         start = time.perf_counter()

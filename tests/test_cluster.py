@@ -27,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.api import Characterize, Execution, MonteCarlo, Session, Sweep, Yield
 from repro.api.serialize import dumps, encode
@@ -234,6 +235,74 @@ class TestFrameCodec:
         pair.a.sendall(wire._PREFIX.pack(wire._MAGIC, len(body), 0) + body)
         with pytest.raises(wire.WireError):
             read_frame(pair.b)
+
+
+class _ByteStream:
+    """Socket stand-in: ``recv`` serves fixed bytes, then EOF."""
+
+    def __init__(self, data: bytes):
+        self._data = data
+        self._pos = 0
+
+    def recv(self, n: int) -> bytes:
+        chunk = self._data[self._pos:self._pos + n]
+        self._pos += len(chunk)
+        return chunk
+
+
+def _read_raw_frame(head: bytes, blob: bytes = b""):
+    """``read_frame`` of one frame carrying header bytes *head*."""
+    prefix = wire._PREFIX.pack(wire._MAGIC, len(head), len(blob))
+    return read_frame(_ByteStream(prefix + head + blob), TEST_ALLOW)
+
+
+def _frame_or_wire_error(head: bytes, blob: bytes = b"") -> None:
+    """The only outcomes peer bytes may have: a frame or WireError."""
+    try:
+        header, got = _read_raw_frame(head, blob)
+    except wire.WireError:
+        return
+    assert isinstance(header, dict) and "type" in header
+    assert got == blob
+
+
+def _nested(depth: int, container: str) -> str:
+    if container == "list":
+        return "[" * depth + "]" * depth
+    return '{"a": ' * depth + "0" + "}" * depth
+
+
+class TestFrameFuzz:
+    """Header bytes come from peers: whatever they hold, ``read_frame``
+    returns a frame or raises :class:`WireError` — never an exception
+    that would kill the coordinator's connection thread."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(head=st.binary(max_size=256), blob=st.binary(max_size=16))
+    def test_arbitrary_header_bytes(self, head, blob):
+        _frame_or_wire_error(head, blob)
+
+    @settings(max_examples=300, deadline=None)
+    @given(head=st.text(alphabet='{}[]":, 0123456789.-eEtruefalsnyp_:',
+                        max_size=256))
+    def test_json_shaped_header_text(self, head):
+        _frame_or_wire_error(head.encode())
+
+    @settings(max_examples=60, deadline=None)
+    @given(depth=st.integers(1, 20000),
+           container=st.sampled_from(("list", "dict")),
+           at_root=st.booleans())
+    def test_any_nesting_depth(self, depth, container, at_root):
+        nested = _nested(depth, container)
+        head = nested if at_root else '{"type": "x", "v": %s}' % nested
+        _frame_or_wire_error(head.encode())
+
+    def test_deep_header_is_a_wire_error(self):
+        # 1000 nested arrays, 2 KB: past the interpreter's recursion
+        # limit, which used to escape as RecursionError.
+        head = '{"type": "x", "v": %s}' % _nested(1000, "list")
+        with pytest.raises(wire.WireError, match="nests too deeply"):
+            _read_raw_frame(head.encode())
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Fast Newton path: analytic derivatives, scatter rounds, coalesced
 cross-shard execution, one device evaluation per transient iteration.
 
-Six contracts are pinned here:
+Seven contracts are pinned here:
 
 * **Analytic = finite differences** — the closed-form gradient hooks of
   both compact models agree with central differences of their own
@@ -15,6 +15,9 @@ Six contracts are pinned here:
   core) is bitwise ``ids_and_derivatives`` plus
   ``charges_and_capacitance`` for both models, both polarities, both
   derivative modes, swapped biases included.
+* **One value path** — the value parts of all three derivative methods
+  are bitwise ``ids()`` / ``charges()`` on sampled VS and BSIM cards in
+  both derivative modes: the gradient cores finish the value cores.
 * **Polarity rides the device axis** — a mixed NMOS/PMOS stacked device
   equals each member evaluated alone, bit for bit, and every CMOS cell
   plan has one MOSFET group per model class.
@@ -428,6 +431,47 @@ class TestFusedEvaluation:
             for j, device in enumerate(members):
                 alone = getattr(device, method)(vg[:, j], vd[:, j], vs[:, j])
                 _assert_same_bits(_column(together, j), alone)
+
+
+class TestValuePathIdentity:
+    """Every derivative method carries the value path's bits.
+
+    The gradient cores finish the value cores and both paths share one
+    I-V finish and one Ward–Dutton partition, so the current and the
+    charges that ``ids_and_derivatives``, ``charges_and_capacitance``
+    and ``iv_and_charges`` return are ``ids()`` / ``charges()`` bit for
+    bit — on Monte-Carlo cards of either model, not only nominal ones.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(model=st.sampled_from(("vs", "bsim")),
+           polarity=st.sampled_from(("nmos", "pmos")),
+           mode=st.sampled_from(("analytic", "fd")),
+           seed=st.integers(0, 2**32 - 1),
+           bias=st.lists(st.tuples(_VOLT, _VOLT, _VOLT),
+                         min_size=1, max_size=8))
+    def test_value_parts_are_the_value_path(self, technology, model,
+                                            polarity, mode, seed, bias):
+        chars = technology[polarity]
+        rng = np.random.default_rng(seed)
+        n = len(bias)
+        if model == "vs":
+            card = chars.statistical.sample(n, rng, w_nm=300.0,
+                                            l_nm=40.0).params
+            device = VSDevice(card, derivatives=mode)
+        else:
+            card = chars.golden_mismatch.sample(n, rng, w_nm=300.0,
+                                                l_nm=40.0)
+            device = BSIMDevice(card, derivatives=mode)
+        vg, vd, vs = np.asarray(bias, dtype=float).T
+        # Both terminal orders: one of them folds to vds < 0 (swapped).
+        for args in ((vg, vd, vs), (vg, vs, vd)):
+            ids, q = device.ids(*args), device.charges(*args)
+            (ids_f, *_), (q_f, _) = device.iv_and_charges(*args)
+            _assert_same_bits(device.ids_and_derivatives(*args)[0], ids)
+            _assert_same_bits(ids_f, ids)
+            _assert_same_bits(device.charges_and_capacitance(*args)[0], q)
+            _assert_same_bits(q_f, q)
 
 
 def _cell_circuits(technology, model):

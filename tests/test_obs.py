@@ -368,6 +368,33 @@ class TestTelemetryAttachment:
         assert {"run.wave", "shard.execute"} <= set(
             result.runtime.telemetry["spans"])
 
+    def test_untraced_pool_shards_reach_the_latency_histogram(
+            self, technology):
+        """Pool workers time every shard whether or not the parent
+        traces, so an untraced 2-worker run observes one
+        ``repro_shard_seconds`` sample per shard, like a serial run."""
+        def totals():
+            snapshot = default_registry().snapshot()
+            executed = snapshot.get("repro_shards_executed_total")
+            seconds = snapshot.get("repro_shard_seconds")
+            return (
+                sum(s["value"] for s in executed["series"]) if executed else 0,
+                sum(s["count"] for s in seconds["series"]) if seconds else 0,
+            )
+
+        before = totals()
+        session = Session(technology=technology, seed=SEED)
+        try:
+            result = session.run(MonteCarlo(
+                n_samples=128, execution=Execution(workers=2, shard_size=16)))
+        finally:
+            session.close()
+        assert result.runtime.executor == "process-pool"
+        assert result.runtime.n_shards == 8
+        after = totals()
+        assert after[0] - before[0] == 8
+        assert after[1] - before[1] == 8
+
     def test_untraced_run_has_no_telemetry(self, technology):
         session = Session(technology=technology, seed=SEED)
         try:

@@ -17,8 +17,11 @@ after a cancel.
 """
 
 import dataclasses
+import json
 import threading
 import time
+import urllib.error
+import urllib.request
 
 import numpy as np
 import pytest
@@ -417,7 +420,36 @@ def server(technology, tmp_path):
     instance.stop(abandon_running=True, timeout=60.0)
 
 
+def _post_error(server, raw: bytes):
+    """POST *raw* to ``/jobs``; ``(status, error document)`` of the
+    expected error response."""
+    request = urllib.request.Request(
+        f"{server.url}/jobs", data=raw, method="POST",
+        headers={"Content-Type": "application/json"},
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=30):
+            raise AssertionError("expected an error status")
+    except urllib.error.HTTPError as exc:
+        return exc.code, json.loads(exc.read())
+
+
 class TestHTTPService:
+    @pytest.mark.parametrize("body", [
+        b"[" * 2000 + b"]" * 2000,
+        b'{"spec": ' + b"[" * 2000 + b"]" * 2000 + b"}",
+        b'{"spec": ' + b'{"a": ' * 2000 + b"0" + b"}" * 2001,
+    ], ids=["root-lists", "spec-lists", "spec-dicts"])
+    def test_deeply_nested_body_is_a_400(self, server, body):
+        # Nesting past the recursion limit is the client's problem, not
+        # a 500 RecursionError.
+        code, error = _post_error(server, body)
+        assert code == 400
+        assert error["error"]["type"] == "BadRequest"
+        assert "nests too deeply" in error["error"]["message"]
+        # The connection thread survived: the daemon still answers.
+        assert ServiceClient(server.url).health()["ok"] is True
+
     def test_healthz(self, server):
         health = ServiceClient(server.url).health()
         assert health["ok"] is True
@@ -496,20 +528,8 @@ class TestHTTPService:
         client.cancel(job)
 
     def test_malformed_payloads_are_structured_400s(self, server):
-        import json
-        import urllib.error
-        import urllib.request
-
         def post(raw: bytes):
-            request = urllib.request.Request(
-                f"{server.url}/jobs", data=raw, method="POST",
-                headers={"Content-Type": "application/json"},
-            )
-            try:
-                with urllib.request.urlopen(request, timeout=30):
-                    raise AssertionError("expected an error status")
-            except urllib.error.HTTPError as exc:
-                return exc.code, json.loads(exc.read())
+            return _post_error(server, raw)
 
         # Not JSON at all.
         code, body = post(b"this is not json {")

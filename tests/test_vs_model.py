@@ -243,6 +243,34 @@ class TestTemperature:
         with pytest.raises(ValueError):
             VSDevice(vs_nmos_40nm(), temperature=-10.0)
 
+    @pytest.mark.parametrize("temperature", [300.15, 400.0])
+    def test_with_params_reproduces_the_device(self, temperature):
+        """Factories rebuild devices through ``with_params(d.params)``:
+        the card is already scaled, so scaling it again must not move
+        it (at 400 K it used to land 100 mV low in VT0)."""
+        device = VSDevice(vs_nmos_40nm(), temperature=temperature)
+        twin = device.with_params(device.params)
+        for name in ("vt0", "mu_cm2", "vxo_cm_s", "t_ref_k"):
+            assert np.asarray(getattr(twin.params, name)).tobytes() == (
+                np.asarray(getattr(device.params, name)).tobytes()
+            ), name
+        bias = (np.array([0.0, 0.45, 0.9]), 0.9, 0.0)
+        assert twin.ids(*bias).tobytes() == device.ids(*bias).tobytes()
+        for a, b in zip(twin.charges(*bias), device.charges(*bias)):
+            assert a.tobytes() == b.tobytes()
+
+    def test_scaled_card_records_its_temperature(self):
+        hot = VSDevice(vs_nmos_40nm(), temperature=400.0)
+        assert float(np.asarray(hot.params.t_ref_k)) == 400.0
+        # Re-referencing composes: 400 K -> 300.15 K recovers the card.
+        back = VSDevice(hot.params, temperature=300.15)
+        nominal = vs_nmos_40nm()
+        for name in ("vt0", "mu_cm2", "vxo_cm_s"):
+            assert float(np.asarray(getattr(back.params, name))) == (
+                pytest.approx(float(np.asarray(getattr(nominal, name))),
+                              rel=1e-12)
+            ), name
+
 
 class TestPropertyBased:
     @given(
