@@ -9,18 +9,17 @@ arithmetic) dominates the runtime of nominal and small-batch transients.
 This module removes that loop.  A :class:`CompiledCircuit` partitions
 the netlist once:
 
-* **Linear stamps** (resistors, the voltage-source branch pattern) are
-  accumulated into a constant matrix ``G`` over all unknowns; the
-  per-iteration linear residual is one batched matvec ``G @ v``.  Only
-  its node×node block (the resistor conductances) seeds the Jacobian.
-* **Sources** are evaluated once per time point into a vector ``b(t)``.
+* **Linear stamps** (resistor conductances) form a constant node×node
+  matrix; its free rows seed the Jacobian and give the linear residual,
+  one batched matvec per iteration.
+* **Sources** are evaluated once per time point.
 * **MOSFETs are stacked along a trailing device axis**: all transistors
   sharing a model class, temperature and derivative mode become ONE
   stacked device whose parameter card holds arrays of shape
   ``batch + (n_dev,)``.  Polarity rides that axis too — NMOS and PMOS
   members each keep their own ±1 folding sign — so a CMOS cell is one
   group.  One model evaluation per Newton iteration computes every
-  transistor of the circuit across every Monte-Carlo sample (a transient
+  iterated transistor across every Monte-Carlo sample (a transient
   iteration takes its currents, conductances, charges and capacitances
   from that one evaluation); the results are scattered into the
   Jacobian/residual with precomputed duplicate-free scatter rounds that
@@ -35,17 +34,24 @@ solution vector with one appended zero (ground reads as 0 V), and the
 scatter programs drop every ground entry, so no masking appears in the
 hot loop.
 
-**Source elimination.**  Every voltage source must be grounded
-at exactly one terminal; each then *pins* its other node, and no node is
-pinned twice (anything else raises :class:`UnsupportedCircuitError`).
-The unknowns split once per structure into pinned nodes, their sources'
-branch currents and free nodes.  The assembled Jacobian is the node×node
-block only — the source rows and columns are ±1 constants the plan
-knows — and :meth:`_SourcePartition.newton_step` solves the Newton
-system by exact block elimination: pinned-node steps come straight from
-the source rows, one stacked ``np.linalg.solve`` runs on the free block,
-and branch-current steps follow by back-substitution through the pinned
-nodes' KCL rows.  In exact arithmetic this is the dense MNA step.
+**Free-row Newton.**  Every voltage source must be grounded at exactly
+one terminal; each then *pins* its other node, and no node is pinned
+twice (anything else raises :class:`UnsupportedCircuitError`).  The
+unknowns split once per structure into pinned nodes, their sources'
+branch currents and free nodes.  The Newton loop assembles, steps and
+tests the free-node rows only: the scatter programs stamp the free rows
+of the residual and the free rows × all nodes block of the Jacobian (its
+free and pinned columns are the step's ff and fp blocks), and a MOSFET
+that stamps no free row — in DC, drain and source pinned or grounded; in
+a transient, its gate too — is left out of the iterated stacked device.
+:meth:`_FreeRowSystem.newton_step` takes the pinned-node steps from the
+source rows and solves the free block with one stacked
+``np.linalg.solve``; in exact arithmetic its node updates are those of
+the dense MNA step.  Branch currents do not move inside the loop: they
+come from KCL once per converged solution, at every pinned node, from all
+members, with the gmin term the residual carries
+(:meth:`CompiledCircuit.set_branch_currents` after a DC solve,
+:meth:`CompiledCircuit.advance_history` at each accepted time step).
 
 Compilation is split in two (PR 9):
 
@@ -133,22 +139,66 @@ def record_fallback(error: UnsupportedCircuitError) -> None:
                   reason=reason, detail=str(error))
 
 
-class _Assembled:
-    """Duck-typed :class:`repro.circuit.mna.System` result.
+class _FreeRowSystem:
+    """One compiled Newton iteration's system: the free-node rows only.
 
-    ``jacobian`` is the node×node block, ``residual`` covers every
-    unknown, and ``newton_step`` is the plan's
-    :meth:`_SourcePartition.newton_step`, which eliminates the source
-    unknowns.
+    ``jacobian`` is the free rows × all nodes block, flat
+    ``batch + (nf * n_nodes,)``, and ``residual`` the free rows
+    ``batch + (nf,)``, both before gmin conditioning; ``b_branch`` holds
+    each source's ``-V(t)`` in partition order.
     """
 
-    __slots__ = ("jacobian", "residual", "newton_step")
+    __slots__ = ("jacobian", "residual", "b_branch", "partition")
 
     def __init__(self, jacobian: np.ndarray, residual: np.ndarray,
-                 newton_step):
+                 b_branch: np.ndarray, partition: "_SourcePartition"):
         self.jacobian = jacobian
         self.residual = residual
-        self.newton_step = newton_step
+        self.b_branch = b_branch
+        self.partition = partition
+
+    def newton_step(self, v: np.ndarray, sel: np.ndarray, gmin: float,
+                    n_nodes: int):
+        """Node updates ``dv`` of the samples *sel* solving ``J dv = -r``.
+
+        *v* is the flat ``(N, n)`` solution (protocol of
+        :meth:`repro.circuit.mna.System.newton_step`).  Only the
+        selected rows are gathered and gmin-conditioned (``+gmin`` on
+        the ff diagonal, ``+gmin * v`` on the free residual).  Pinned
+        nodes step straight from the source rows, ``dv_p = -sign *
+        (sign * v_p - V)``; the free nodes solve ``A_ff dv_f = -(r_f +
+        A_fp dv_p)`` with one stacked ``np.linalg.solve``.  Returns
+        ``(dv, solvable, residual)``: *dv* ``(k, n_nodes)`` over the
+        node unknowns (branch currents do not move), *solvable* as
+        :func:`repro.circuit.mna._solve_stacked` gives it, and the
+        gmin-conditioned free-row residual the convergence test reads.
+        """
+        part = self.partition
+        nf, npin = part.free.size, part.pinned.size
+        n_samples, k = v.shape[0], sel.size
+        rows = sel[:, None]
+        jac = self.jacobian.reshape(n_samples, nf * n_nodes)
+        residual = self.residual.reshape(n_samples, nf)[sel] + gmin * v[
+            rows, part.free
+        ]
+        b_branch = self.b_branch
+        if b_branch.ndim > 1:  # batched source levels
+            b_branch = np.broadcast_to(
+                b_branch, self.residual.shape[:-1] + (npin,)
+            ).reshape(n_samples, npin)[sel]
+        dv_pinned = part.neg_sign * (part.sign * v[rows, part.pinned]
+                                     + b_branch)
+        r_free = residual + np.matmul(
+            jac[rows, part.fp_idx].reshape(k, nf, npin),
+            dv_pinned[:, :, None],
+        )[:, :, 0]
+        a_ff = jac[rows, part.ff_idx]
+        a_ff[:, part.ff_diag] += gmin
+        dv_free, solvable = _solve_stacked(a_ff.reshape(k, nf, nf), r_free)
+        dv = np.empty((k, n_nodes))
+        dv[:, part.pinned] = dv_pinned
+        dv[:, part.free] = dv_free
+        return dv, solvable, residual
 
 
 def _stack_field(values):
@@ -199,6 +249,31 @@ def _stack_devices(models):
     stacked.sign = _stack_field([m.sign for m in models])
     stacked.params = dataclasses.replace(first.params, **changes)
     return stacked
+
+
+def _take_members(device, members: np.ndarray):
+    """The stacked *device* restricted to the members at *members*.
+
+    Every stacked card field (and ``sign``) is a shared scalar or an
+    array over a trailing device axis; the subset takes those positions.
+    Member by member the arithmetic is that of the full stacked device,
+    so the subset's values are the full device's bit for bit.
+    """
+    def take(value):
+        return value if np.ndim(value) == 0 else value[..., members]
+
+    params = device.params
+    changes = {
+        field.name: take(getattr(params, field.name))
+        for field in dataclasses.fields(params)
+        if field.name != "polarity"
+    }
+    cls = type(device)
+    subset = cls.__new__(cls)
+    subset.__dict__.update(device.__dict__)
+    subset.sign = take(device.sign)
+    subset.params = dataclasses.replace(params, **changes)
+    return subset
 
 
 def _scatter_program(idx: np.ndarray, order=None) -> tuple:
@@ -272,10 +347,73 @@ def _gather_index(nodes: np.ndarray, n: int) -> np.ndarray:
     return np.where(nodes < 0, n, nodes)
 
 
+def _row_index(nodes: np.ndarray, row_map: np.ndarray) -> np.ndarray:
+    """Each node's row under *row_map*; ground, and nodes the map gives
+    no row, become -1 (dropped by the scatter)."""
+    return np.where(nodes >= 0, row_map[nodes], -1)
+
+
 def _block_index(rows: np.ndarray, cols: np.ndarray, n_nodes: int) -> np.ndarray:
-    """Flat row-major index into the node×node Jacobian block; entries
-    in a ground row or column become -1 (dropped by the scatter)."""
+    """Flat row-major index into a rows × all nodes block; entries
+    without a row or in a ground column become -1 (dropped by the
+    scatter)."""
     return np.where((rows >= 0) & (cols >= 0), rows * n_nodes + cols, -1)
+
+
+#: Jacobian entries of one I-V stamp: (row terminal, column terminal)
+#: for gm gds gms -gm -gds -gms.
+_IV_ENTRIES = (("d", "g"), ("d", "d"), ("d", "s"),
+               ("s", "g"), ("s", "d"), ("s", "s"))
+
+
+class _MemberStamps:
+    """Scatter programs of one subset of a MOSFET group's members.
+
+    *members* are ascending positions along the group's device axis and
+    *row_map* maps each node to its target row (-1: none).  The programs
+    take the subset's values in device-axis order and visit them
+    subgroup by subgroup (all of one polarity's blocks, then the
+    next's), so every target cell sums its terms in the order the
+    whole group's stamps would — the per-cell summation order of the
+    value path, which the golden figures pin.  ``f_prog`` stamps the
+    I-V residual (+ids at d, -ids at s) and ``qf_prog`` the charges over
+    terminals (g, d, s), terminal-major.  With *jacobian*, ``j_prog``
+    stamps :data:`_IV_ENTRIES` and ``qj_prog`` the capacitance entries
+    into the flat rows × all nodes block.  ``gather`` indexes the
+    members' (g, d, s) voltages in ``v`` with one appended zero, and
+    ``q_pos`` the members' charges in the group's terminal-major
+    layout (None when the subset is the whole group).
+    """
+
+    def __init__(self, terminals, bounds, members: np.ndarray,
+                 row_map: np.ndarray, n: int, jacobian: bool):
+        n_dev = bounds[-1]
+        self.members = members
+        sub_bounds = np.searchsorted(members, bounds).tolist()
+        nodes = dict(zip(_TERMS, (t[members] for t in terminals)))
+        rows = {t: _row_index(nodes[t], row_map) for t in _TERMS}
+        self.gather = tuple(_gather_index(nodes[t], n) for t in _TERMS)
+        self.q_pos = None if members.size == n_dev else np.concatenate(
+            [k * n_dev + members for k in range(len(_TERMS))]
+        )
+        self.f_prog = _scatter_program(
+            np.concatenate([rows["d"], rows["s"]]),
+            _subgroup_order(2, sub_bounds),
+        )
+        self.qf_prog = _scatter_program(
+            np.concatenate([rows[t] for t in _TERMS]),
+            _subgroup_order(3, sub_bounds),
+        )
+        if not jacobian:
+            return
+        n_nodes = row_map.size
+        self.j_prog = _scatter_program(np.concatenate([
+            _block_index(rows[r], nodes[c], n_nodes) for r, c in _IV_ENTRIES
+        ]), _subgroup_order(len(_IV_ENTRIES), sub_bounds))
+        self.qj_prog = _scatter_program(np.concatenate([
+            _block_index(rows[ti], nodes[tj], n_nodes)
+            for ti in _TERMS for tj in _TERMS
+        ]), _subgroup_order(9, sub_bounds))
 
 
 class _MosfetGroupStructure:
@@ -287,76 +425,80 @@ class _MosfetGroupStructure:
     polarity in first-appearance order; ``slots`` concatenates them (the
     device-axis order), used at bind time to gather the matching models
     out of a concrete netlist.
+
+    Three member subsets carry their own programs: ``dc`` iterates the
+    members whose drain or source is a free node (a DC I-V stamp touches
+    rows d and s only), ``tran`` those with a free gate, drain or source
+    (the charge stamps add row g), both into the free rows; ``kcl`` is
+    every member into the pinned rows, for the branch currents.
     """
 
     def __init__(self, subgroups: List[List[int]], elements: list,
-                 n: int, n_nodes: int):
+                 n: int, partition: "_SourcePartition"):
         self.slots = [slot for sub in subgroups for slot in sub]
         bounds = np.cumsum([0] + [len(sub) for sub in subgroups]).tolist()
         members = [elements[i] for i in self.slots]
-        g = np.array([e.g for e in members])
-        d = np.array([e.d for e in members])
-        s = np.array([e.s for e in members])
-        self.g_idx, self.d_idx, self.s_idx = (
-            _gather_index(g, n), _gather_index(d, n), _gather_index(s, n)
+        terminals = tuple(
+            np.array([getattr(e, t) for e in members], dtype=np.intp)
+            for t in _TERMS
         )
-
-        # Scatter programs, duplicate-free rounds equivalent (bitwise) to
-        # ``np.add.at`` with ground entries dropped; built once per
-        # structure.  Each visits the subgroups in order (all of one
-        # polarity's blocks, then the next's): the per-cell summation
-        # order of the value path, which the golden figures pin.  I-V
-        # stamps: residual +ids at d, -ids at s; Jacobian entries (d,g)
-        # (d,d) (d,s) (s,g) (s,d) (s,s) = gm gds gms -gm -gds -gms.
-        self.f_prog = _scatter_program(
-            np.concatenate([d, s]), _subgroup_order(2, bounds)
-        )
-        self.j_node_prog = _scatter_program(_block_index(
-            np.concatenate([d, d, d, s, s, s]),
-            np.concatenate([g, d, s, g, d, s]),
-            n_nodes,
-        ), _subgroup_order(6, bounds))
-
-        # Charge stamps over terminals (g, d, s), terminal-major layout.
-        term = {"g": g, "d": d, "s": s}
-        self.qf_prog = _scatter_program(
-            np.concatenate([term[t] for t in _TERMS]),
-            _subgroup_order(3, bounds),
-        )
-        self.qj_node_prog = _scatter_program(np.concatenate([
-            _block_index(term[ti], term[tj], n_nodes)
-            for ti in _TERMS for tj in _TERMS
-        ]), _subgroup_order(9, bounds))
+        g, d, s = (_row_index(t, partition.free_row) >= 0 for t in terminals)
+        self.dc = _MemberStamps(terminals, bounds, np.flatnonzero(d | s),
+                                partition.free_row, n, jacobian=True)
+        self.tran = _MemberStamps(terminals, bounds,
+                                  np.flatnonzero(g | d | s),
+                                  partition.free_row, n, jacobian=True)
+        self.kcl = _MemberStamps(terminals, bounds, np.arange(len(members)),
+                                 partition.pinned_row, n, jacobian=False)
 
 
 class _MosfetGroup:
-    """A group structure bound to one circuit's stacked device."""
+    """A group structure bound to one circuit's stacked device.
+
+    ``device`` stacks every member; ``dc_device`` and ``tran_device``
+    are its iterated subsets (the device itself when a subset is every
+    member).
+    """
 
     def __init__(self, structure: _MosfetGroupStructure, models):
         self.structure = structure
         self.device = _stack_devices(models)
+        self.dc_device, self.tran_device = (
+            self.device if stamps.q_pos is None
+            else _take_members(self.device, stamps.members)
+            for stamps in (structure.dc, structure.tran)
+        )
 
-    def gather(self, v_aug: np.ndarray):
-        st = self.structure
-        return v_aug[..., st.g_idx], v_aug[..., st.d_idx], v_aug[..., st.s_idx]
+    def gather(self, v_aug: np.ndarray, stamps: _MemberStamps):
+        return tuple(v_aug[..., idx] for idx in stamps.gather)
 
     def charge_flat(self, v_aug: np.ndarray) -> np.ndarray:
-        """Terminal charges in ``qf_idx`` layout, shape ``batch + (3 n_dev,)``."""
-        qg, qd, qs = self.device.charges(*self.gather(v_aug))
+        """Every member's terminal charges, terminal-major, shape
+        ``batch + (3 n_dev,)``."""
+        qg, qd, qs = self.device.charges(
+            *self.gather(v_aug, self.structure.kcl)
+        )
         return np.concatenate(
             np.broadcast_arrays(qg, qd, qs), axis=-1
         )
 
 
 class _CapacitorGroupStructure:
-    """Index arrays for the stacked linear-capacitor group (value-free)."""
+    """Index arrays for the stacked linear-capacitor group (value-free):
+    charge stamps into the free rows (``qf_prog``) and the pinned rows
+    (``kcl_qf_prog``)."""
 
-    def __init__(self, slots: List[int], elements: List[_el.Capacitor], n: int):
+    def __init__(self, slots: List[int], elements: List[_el.Capacitor],
+                 n: int, partition: "_SourcePartition"):
         self.slots = list(slots)
-        n1 = np.array([e.n1 for e in elements])
-        n2 = np.array([e.n2 for e in elements])
+        n1 = np.array([e.n1 for e in elements], dtype=np.intp)
+        n2 = np.array([e.n2 for e in elements], dtype=np.intp)
         self.n1_idx, self.n2_idx = _gather_index(n1, n), _gather_index(n2, n)
-        self.qf_prog = _scatter_program(np.concatenate([n1, n2]))
+        nodes = np.concatenate([n1, n2])
+        self.qf_prog = _scatter_program(_row_index(nodes, partition.free_row))
+        self.kcl_qf_prog = _scatter_program(
+            _row_index(nodes, partition.pinned_row)
+        )
 
 
 class _CapacitorGroup:
@@ -378,10 +520,12 @@ class _SourcePartition:
 
     Value-free, built once per :class:`PlanStructure`.  Each source is
     grounded at exactly one terminal and pins the other node: its branch
-    row reads ``sign * dv[node] = -r[branch]`` (sign +1 when the node is
-    the positive terminal, -1 when it is the negative one), and the
-    pinned node's KCL row carries ``sign * dv[branch]``.  The remaining
-    nodes are free.  A floating source, or a node pinned twice, raises
+    row reads ``sign * v[node] - V(t)`` (sign +1 when the node is the
+    positive terminal, -1 when it is the negative one), and the pinned
+    node's KCL row carries ``sign * i[branch]``.  The remaining nodes
+    are free.  ``free_row`` and ``pinned_row`` give each node's row in
+    the free and the pinned row sets (-1 where it has none).  A floating
+    source, or a node pinned twice, raises
     :class:`UnsupportedCircuitError` (the generic path then solves the
     dense system).
     """
@@ -411,49 +555,23 @@ class _SourcePartition:
         self.branches = np.array(
             [src.branch_index for src in vsources], dtype=np.intp
         )
+        self.sign = np.array(signs)
         #: ``-sign``: both source-row solves are ``-sign * r``, exact for ±1.
-        self.neg_sign = -np.array(signs)
+        self.neg_sign = -self.sign
         self.free = np.array(
             sorted(set(range(n_nodes)) - set(pinned)), dtype=np.intp
         )
-        # Flat indices into a row-major (n_nodes, n_nodes) block.
-        p, f, nodes = self.pinned, self.free, np.arange(n_nodes)
-        self.ff_idx = (f[:, None] * n_nodes + f[None, :]).ravel()
-        self.fp_idx = (f[:, None] * n_nodes + p[None, :]).ravel()
-        self.pn_idx = (p[:, None] * n_nodes + nodes[None, :]).ravel()
-
-    def newton_step(self, jacobian: np.ndarray, residual: np.ndarray):
-        """Newton updates ``dv`` solving ``J dv = -r`` by elimination.
-
-        *jacobian* is the stacked node×node block ``(k, N, N)``,
-        *residual* covers all unknowns ``(k, n)``.  Same contract as
-        :func:`repro.circuit.mna._solve_stacked`: returns ``(dv,
-        solvable)`` with *solvable* None unless a free block was
-        singular (those rows are flagged False).
-        """
-        k = residual.shape[0]
-        nf, npin, n_nodes = self.free.size, self.pinned.size, self.n_nodes
-        jac = jacobian.reshape(k, n_nodes * n_nodes)
-        dv = np.empty_like(residual)
-        # Pinned nodes: straight from the source rows.
-        dv_pinned = self.neg_sign * residual[:, self.branches]
-        dv[:, self.pinned] = dv_pinned
-        # Free nodes: A_ff dv_f = -(r_f + A_fp dv_p).
-        r_free = residual[:, self.free] + np.matmul(
-            jac[:, self.fp_idx].reshape(k, nf, npin), dv_pinned[:, :, None]
-        )[:, :, 0]
-        dv_free, solvable = _solve_stacked(
-            jac[:, self.ff_idx].reshape(k, nf, nf), r_free
-        )
-        dv[:, self.free] = dv_free
-        # Branch currents: back-substitute the pinned nodes' KCL rows,
-        # A_pn dv_n + sign dv_b = -r_p.
-        r_pinned = residual[:, self.pinned] + np.matmul(
-            jac[:, self.pn_idx].reshape(k, npin, n_nodes),
-            dv[:, :n_nodes, None],
-        )[:, :, 0]
-        dv[:, self.branches] = self.neg_sign * r_pinned
-        return dv, solvable
+        nf = self.free.size
+        self.free_row = np.full(n_nodes, -1, dtype=np.intp)
+        self.free_row[self.free] = np.arange(nf)
+        self.pinned_row = np.full(n_nodes, -1, dtype=np.intp)
+        self.pinned_row[self.pinned] = np.arange(self.pinned.size)
+        # Flat indices into a row-major (nf, n_nodes) free-row block.
+        rows = np.arange(nf)
+        self.ff_idx = (rows[:, None] * n_nodes + self.free[None, :]).ravel()
+        self.fp_idx = (rows[:, None] * n_nodes + self.pinned[None, :]).ravel()
+        #: The ff block's diagonal, flat.
+        self.ff_diag = rows * (nf + 1)
 
 
 def _mosfet_signature(model) -> tuple:
@@ -563,7 +681,7 @@ class PlanStructure:
         self.mos_group_structures = [
             _MosfetGroupStructure(
                 list(subgroups.values()), circuit.elements, self.n,
-                self.n_nodes,
+                self.partition,
             )
             for subgroups in grouped.values()
         ]
@@ -571,7 +689,7 @@ class PlanStructure:
             _CapacitorGroupStructure(
                 self.capacitor_slots,
                 [circuit.elements[i] for i in self.capacitor_slots],
-                self.n,
+                self.n, self.partition,
             )
             if self.capacitor_slots
             else None
@@ -614,55 +732,23 @@ class CompiledCircuit:
         self.vsources = [elements[i] for i in structure.vsource_slots]
         self.isources = [elements[i] for i in structure.isource_slots]
 
-        # Constant linear matrix over all unknowns: resistor conductances
-        # + source pattern.  The residual's ``G @ v`` uses all of it; the
-        # Jacobian only its node×node block (the source pattern lives in
-        # the partition).
-        lin_batch = ()
-        for r in resistors:
-            lin_batch = np.broadcast_shapes(
-                lin_batch, np.asarray(r.resistance).shape
-            )
-        j_const = np.zeros(lin_batch + (n, n))
-        for r in resistors:
-            g = 1.0 / np.asarray(r.resistance, dtype=float)
-            for a, b, sign in (
-                (r.n1, r.n1, 1.0), (r.n2, r.n2, 1.0),
-                (r.n1, r.n2, -1.0), (r.n2, r.n1, -1.0),
-            ):
-                if a >= 0 and b >= 0:
-                    j_const[..., a, b] += sign * g
-        for src in self.vsources:
-            nb = src.branch_index
-            for a, b, sign in (
-                (src.pos, nb, 1.0), (src.neg, nb, -1.0),
-                (nb, src.pos, 1.0), (nb, src.neg, -1.0),
-            ):
-                if a >= 0 and b >= 0:
-                    j_const[..., a, b] += sign
-        self.j_const = j_const
-        n_nodes = self.n_nodes
-        self.j_nodes = np.ascontiguousarray(
-            j_const[..., :n_nodes, :n_nodes]
-        ).reshape(lin_batch + (n_nodes * n_nodes,))
-
-        # Constant capacitor charge Jacobian (node block, flat); the
-        # transient folds ``coeff * c_lin`` into the per-step base.
-        cap_batch = ()
-        for c in capacitors:
-            cap_batch = np.broadcast_shapes(
-                cap_batch, np.asarray(c.capacitance).shape
-            )
-        c_lin = np.zeros(cap_batch + (n_nodes, n_nodes))
-        for cap in capacitors:
-            cval = np.asarray(cap.capacitance, dtype=float)
-            for a, b, sign in (
-                (cap.n1, cap.n1, 1.0), (cap.n2, cap.n2, 1.0),
-                (cap.n1, cap.n2, -1.0), (cap.n2, cap.n1, -1.0),
-            ):
-                if a >= 0 and b >= 0:
-                    c_lin[..., a, b] += sign * cval
-        self.c_lin = c_lin.reshape(cap_batch + (n_nodes * n_nodes,))
+        # Resistor conductances over the node block: their free rows seed
+        # the Jacobian and give the free rows' linear residual; their
+        # pinned rows enter the branch currents' KCL.  The source pattern
+        # lives in the partition.
+        part = structure.partition
+        g_nodes = _two_terminal_block(
+            resistors, [1.0 / np.asarray(r.resistance, dtype=float)
+                        for r in resistors], self.n_nodes,
+        )
+        self.j_base = _free_block(g_nodes, part)
+        self.g_free = g_nodes[..., part.free, :] if resistors else None
+        self.g_pinned = g_nodes[..., part.pinned, :] if resistors else None
+        # Constant capacitor charge Jacobian (free rows, flat); the
+        # transient folds ``coeff * c_base`` into the per-step base.
+        self.c_base = _free_block(_two_terminal_block(
+            capacitors, [c.capacitance for c in capacitors], self.n_nodes,
+        ), part)
 
         # Bind stacked device groups: structure supplies the indices,
         # this circuit supplies the cards.
@@ -684,8 +770,10 @@ class CompiledCircuit:
     # ------------------------------------------------------------------
     # Per-time-point pieces.
     # ------------------------------------------------------------------
-    def source_vector(self, t: float) -> np.ndarray:
-        """Source contributions ``b(t)`` to the residual."""
+    def _sources(self, t: float):
+        """``(b_branch, b_free, b_pinned)`` at time *t*: each source's
+        ``-V(t)`` in partition order, and the current sources' terms on
+        the free and the pinned rows (None without current sources)."""
         v_vals = [
             np.asarray(src.waveform.value(t), dtype=float)
             for src in self.vsources
@@ -695,78 +783,121 @@ class CompiledCircuit:
             for src in self.isources
         ]
         shape = np.broadcast_shapes(*(v.shape for v in v_vals + i_vals), ())
-        b = np.zeros(shape + (self.n,))
-        for src, val in zip(self.vsources, v_vals):
-            b[..., src.branch_index] -= val
+        b_branch = np.zeros(shape + (len(v_vals),))
+        for k, val in enumerate(v_vals):
+            b_branch[..., k] -= val
+        if not i_vals:
+            return b_branch, None, None
+        b = np.zeros(shape + (self.n_nodes,))
         for src, val in zip(self.isources, i_vals):
             if src.pos >= 0:
                 b[..., src.pos] += val
             if src.neg >= 0:
                 b[..., src.neg] -= val
-        return b
+        part = self.structure.partition
+        return b_branch, b[..., part.free], b[..., part.pinned]
 
     # ------------------------------------------------------------------
-    # Assembly.
+    # Assembly: free rows only.
     # ------------------------------------------------------------------
     def _augment(self, v: np.ndarray) -> np.ndarray:
         return np.concatenate(
             [v, np.zeros(v.shape[:-1] + (1,))], axis=-1
         )
 
-    def _nonlinear(self, v: np.ndarray, base_jac: np.ndarray,
+    def _nonlinear(self, v_aug: np.ndarray, base_jac: np.ndarray,
                    charges: bool = False):
-        """Stacked MOSFET I-V stamps at *v*.
+        """Stacked MOSFET I-V stamps at ``v_aug`` into the free rows.
 
-        Returns the augmented solution vector (for reuse by the charge
-        stamps), the residual accumulator over all unknowns, the flat
-        node×node Jacobian, seeded with the constant *base_jac*, and the
-        per-group ``(q, cmat)`` list — with *charges*, each group's
+        Returns the free-row residual accumulator, the flat free-row
+        Jacobian seeded with the constant *base_jac*, and the per-group
+        ``(q, cmat)`` list.  Without *charges* each group evaluates its
+        ``dc_device``; with *charges*, its ``tran_device``, taking the
         charges and capacitances from the same device evaluation
-        (:meth:`DeviceModel.iv_and_charges`), else empty.
+        (:meth:`DeviceModel.iv_and_charges`).
         """
-        batch = v.shape[:-1]
-        v_aug = self._augment(v)
-        res = np.zeros(batch + (self.n,))
+        batch = v_aug.shape[:-1]
+        res = np.zeros(batch + (self.structure.partition.free.size,))
         jac_flat = np.empty(batch + base_jac.shape[-1:])
         jac_flat[...] = base_jac
         group_charges = []
         for grp in self.mos_groups:
-            terminals = grp.gather(v_aug)
             if charges:
-                iv, q_cmat = grp.device.iv_and_charges(*terminals)
+                stamps = grp.structure.tran
+                iv, q_cmat = grp.tran_device.iv_and_charges(
+                    *grp.gather(v_aug, stamps)
+                )
                 group_charges.append(q_cmat)
             else:
-                iv = grp.device.ids_and_derivatives(*terminals)
+                stamps = grp.structure.dc
+                iv = grp.dc_device.ids_and_derivatives(
+                    *grp.gather(v_aug, stamps)
+                )
             ids, gm, gds, gms = np.broadcast_arrays(*iv)
+            _apply_scatter(res, stamps.f_prog,
+                           np.concatenate([ids, -ids], axis=-1))
             _apply_scatter(
-                res, grp.structure.f_prog,
-                np.concatenate([ids, -ids], axis=-1),
-            )
-            _apply_scatter(
-                jac_flat,
-                grp.structure.j_node_prog,
+                jac_flat, stamps.j_prog,
                 np.concatenate([gm, gds, gms, -gm, -gds, -gms], axis=-1),
             )
-        return v_aug, res, jac_flat, group_charges
+        return res, jac_flat, group_charges
 
-    def _finish(self, v, res, jac_flat, b):
-        n_nodes = self.n_nodes
-        residual = res + np.matmul(self.j_const, v[..., None])[..., 0] + b
-        return _Assembled(
-            jac_flat.reshape(v.shape[:-1] + (n_nodes, n_nodes)),
-            residual,
-            self.structure.partition.newton_step,
-        )
+    def _system(self, v, res, jac_flat, sources) -> _FreeRowSystem:
+        b_branch, b_free, _ = sources
+        if self.g_free is not None:
+            res = res + _linear(self.g_free, v[..., :self.n_nodes])
+        if b_free is not None:
+            res = res + b_free
+        return _FreeRowSystem(jac_flat, res, b_branch,
+                              self.structure.partition)
 
     def assemble_dc(self, t: float):
         """DC assembly closure for :func:`repro.circuit.mna.newton_solve`."""
-        b = self.source_vector(t)
+        sources = self._sources(t)
 
-        def assemble(v: np.ndarray) -> _Assembled:
-            _, res, jac_flat, _ = self._nonlinear(v, self.j_nodes)
-            return self._finish(v, res, jac_flat, b)
+        def assemble(v: np.ndarray) -> _FreeRowSystem:
+            res, jac_flat, _ = self._nonlinear(self._augment(v), self.j_base)
+            return self._system(v, res, jac_flat, sources)
 
         return assemble
+
+    # ------------------------------------------------------------------
+    # Branch currents: KCL at the pinned nodes, once per solution.
+    # ------------------------------------------------------------------
+    def _set_branches(self, v, r_pinned, b_pinned, gmin: float) -> None:
+        """``i = -sign * (r_p + gmin * v_p)`` into *v*'s branch unknowns.
+
+        *r_pinned* holds every member's stamps on the pinned rows; the
+        linear and current-source terms and the gmin term the Newton
+        residual carries are added here, so a converged solution's full
+        MNA residual vanishes on the pinned rows to rounding.
+        """
+        part = self.structure.partition
+        if self.g_pinned is not None:
+            r_pinned = r_pinned + _linear(self.g_pinned,
+                                          v[..., :self.n_nodes])
+        if b_pinned is not None:
+            r_pinned = r_pinned + b_pinned
+        r_pinned = r_pinned + gmin * v[..., part.pinned]
+        v[..., part.branches] = part.neg_sign * r_pinned
+
+    def set_branch_currents(self, v: np.ndarray, t: float,
+                            gmin: float) -> None:
+        """Fill the branch currents of the DC solution *v* (in place).
+
+        One value-path evaluation of every member (``ids``), stamped on
+        the pinned rows, closes each pinned node's KCL.
+        """
+        v_aug = self._augment(v)
+        r_pinned = np.zeros(
+            v.shape[:-1] + self.structure.partition.pinned.shape
+        )
+        for grp in self.mos_groups:
+            stamps = grp.structure.kcl
+            ids = grp.device.ids(*grp.gather(v_aug, stamps))
+            _apply_scatter(r_pinned, stamps.f_prog,
+                           np.concatenate([ids, -ids], axis=-1))
+        self._set_branches(v, r_pinned, self._sources(t)[2], gmin)
 
     # ------------------------------------------------------------------
     # Transient support (companion-model integration).
@@ -780,7 +911,8 @@ class CompiledCircuit:
         return groups
 
     def charge_state(self, v: np.ndarray):
-        """Flat charge vectors per charge group at solution *v*."""
+        """Flat charge vectors per charge group at solution *v*, every
+        member of each group."""
         v_aug = self._augment(v)
         return [np.array(g.charge_flat(v_aug)) for g in self.charge_groups()]
 
@@ -788,20 +920,31 @@ class CompiledCircuit:
         """Assembly closure for one implicit integration step.
 
         ``q_hist``/``i_hist`` are the per-group flat charge and companion
-        current histories (layouts from :meth:`charge_state`).
+        current histories (layouts from :meth:`charge_state`); each
+        MOSFET group's iterated members take their entries once here.
         """
-        b = self.source_vector(t)
-        base_jac = self.j_nodes + coeff * self.c_lin
+        sources = self._sources(t)
+        base_jac = self.j_base + coeff * self.c_base
+        history = []
+        for k, grp in enumerate(self.charge_groups()):
+            q_old, i_old = q_hist[k], i_hist[k]
+            if isinstance(grp, _MosfetGroup):
+                q_pos = grp.structure.tran.q_pos
+                if q_pos is not None:
+                    q_old, i_old = q_old[..., q_pos], i_old[..., q_pos]
+            history.append((grp, q_old, i_old))
 
-        def assemble(v: np.ndarray) -> _Assembled:
-            v_aug, res, jac_flat, mos_charges = self._nonlinear(
-                v, base_jac, charges=True
+        def assemble(v: np.ndarray) -> _FreeRowSystem:
+            v_aug = self._augment(v)
+            res, jac_flat, mos_charges = self._nonlinear(
+                v_aug, base_jac, charges=True
             )
             mos_charges = iter(mos_charges)
-            for k, grp in enumerate(self.charge_groups()):
+            for grp, q_old, i_old in history:
                 if isinstance(grp, _CapacitorGroup):
                     # Linear Jacobian already folded into base_jac.
                     q_new = grp.charge_flat(v_aug)
+                    qf_prog = grp.structure.qf_prog
                 else:
                     q0, cmat = next(mos_charges)
                     q_new = np.concatenate(
@@ -813,24 +956,82 @@ class CompiledCircuit:
                         ),
                         axis=-1,
                     )
-                    _apply_scatter(jac_flat, grp.structure.qj_node_prog,
-                                   coeff * cap_vals)
-                i_comp = coeff * (q_new - q_hist[k])
+                    stamps = grp.structure.tran
+                    _apply_scatter(jac_flat, stamps.qj_prog, coeff * cap_vals)
+                    qf_prog = stamps.qf_prog
+                i_comp = coeff * (q_new - q_old)
                 if not use_be:
-                    i_comp = i_comp - i_hist[k]
-                _apply_scatter(res, grp.structure.qf_prog, i_comp)
-            return self._finish(v, res, jac_flat, b)
+                    i_comp = i_comp - i_old
+                _apply_scatter(res, qf_prog, i_comp)
+            return self._system(v, res, jac_flat, sources)
 
         return assemble
 
-    def advance_history(self, v, coeff, use_be, q_hist, i_hist):
-        """Update charge/current histories at the accepted solution."""
-        for k, q_new in enumerate(self.charge_state(v)):
+    def advance_history(self, v, t, coeff, use_be, q_hist, i_hist,
+                        gmin: float) -> None:
+        """Update charge/current histories at the accepted solution *v*
+        and fill its branch currents (in place).
+
+        One value-core evaluation per MOSFET group
+        (:meth:`DeviceModel.ids_and_charges`, every member) yields the
+        new charges and the currents; the pinned rows' KCL takes the I-V
+        stamps, then each group's new companion current, in the order
+        the Newton residual stamps them.
+        """
+        v_aug = self._augment(v)
+        r_pinned = np.zeros(
+            v.shape[:-1] + self.structure.partition.pinned.shape
+        )
+        charges = []
+        if self.cap_group is not None:
+            charges.append((self.cap_group.charge_flat(v_aug),
+                            self.cap_group.structure.kcl_qf_prog))
+        for grp in self.mos_groups:
+            stamps = grp.structure.kcl
+            ids, q = grp.device.ids_and_charges(*grp.gather(v_aug, stamps))
+            _apply_scatter(r_pinned, stamps.f_prog,
+                           np.concatenate([ids, -ids], axis=-1))
+            charges.append((np.concatenate(np.broadcast_arrays(*q), axis=-1),
+                            stamps.qf_prog))
+        for k, (q_new, kcl_prog) in enumerate(charges):
             i_new = coeff * (q_new - q_hist[k])
             if not use_be:
                 i_new = i_new - i_hist[k]
             q_hist[k] = q_new
             i_hist[k] = np.broadcast_to(i_new, q_new.shape).copy()
+            _apply_scatter(r_pinned, kcl_prog, i_new)
+        self._set_branches(v, r_pinned, self._sources(t)[2], gmin)
+
+
+def _two_terminal_block(elements, values, n_nodes: int) -> np.ndarray:
+    """Node×node stamp matrix of two-terminal linear elements: each
+    value on both of its nodes' diagonals and negated off them, ground
+    entries dropped; batched values broadcast."""
+    values = [np.asarray(value, dtype=float) for value in values]
+    shape = np.broadcast_shapes(*(value.shape for value in values), ())
+    block = np.zeros(shape + (n_nodes, n_nodes))
+    for element, value in zip(elements, values):
+        n1, n2 = element.n1, element.n2
+        for a, b, sign in ((n1, n1, 1.0), (n2, n2, 1.0),
+                           (n1, n2, -1.0), (n2, n1, -1.0)):
+            if a >= 0 and b >= 0:
+                block[..., a, b] += sign * value
+    return block
+
+
+def _free_block(matrix: np.ndarray, part: _SourcePartition) -> np.ndarray:
+    """The free rows of a node×node *matrix*, flat row-major."""
+    block = matrix[..., part.free, :]
+    return np.ascontiguousarray(block).reshape(
+        block.shape[:-2] + (block.shape[-2] * block.shape[-1],)
+    )
+
+
+def _linear(g: np.ndarray, v_nodes: np.ndarray) -> np.ndarray:
+    """``g @ v`` per sample: conductance rows times node voltages."""
+    if g.ndim == 2:
+        return v_nodes @ g.T
+    return np.matmul(g, v_nodes[..., None])[..., 0]
 
 
 def compile_circuit(

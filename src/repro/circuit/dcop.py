@@ -31,11 +31,7 @@ def initial_guess(
     return v0
 
 
-def _assemble_dc(circuit: Circuit, t: float):
-    compiled = circuit.compiled()
-    if compiled is not None:
-        return compiled.assemble_dc(t), compiled.n, compiled.batch
-
+def _assemble_generic(circuit: Circuit, t: float):
     n = circuit.assign_branches()
     batch = circuit.batch_shape
 
@@ -46,7 +42,7 @@ def _assemble_dc(circuit: Circuit, t: float):
             element.stamp_nonlinear(system, v)
         return system
 
-    return assemble, n, batch
+    return assemble
 
 
 def dc_operating_point(
@@ -59,10 +55,20 @@ def dc_operating_point(
 
     Returns the full unknown vector ``batch + (n,)``: node voltages first
     (in :attr:`Circuit.node_names` order), then source branch currents.
+    A compiled plan's Newton loop moves the node voltages only; its
+    branch currents follow from KCL at the converged solution.
     """
-    assemble, n, batch = _assemble_dc(circuit, t)
+    compiled = circuit.compiled()
+    if compiled is not None:
+        assemble, n, batch = compiled.assemble_dc(t), compiled.n, compiled.batch
+    else:
+        assemble = _assemble_generic(circuit, t)
+        n, batch = circuit.assign_branches(), circuit.batch_shape
     if v0 is None:
         v0 = np.zeros(batch + (n,))
     else:
         v0 = np.broadcast_to(np.asarray(v0, dtype=float), batch + (n,)).copy()
-    return newton_solve(assemble, v0, circuit.n_nodes, options)
+    v = newton_solve(assemble, v0, circuit.n_nodes, options)
+    if compiled is not None:
+        compiled.set_branch_currents(v, t, (options or NewtonOptions()).gmin)
+    return v

@@ -1,15 +1,16 @@
 """Batched modified-nodal-analysis assembly and the Newton-Raphson core.
 
-The solver operates on stacked systems: the residual has shape
-``batch + (n,)`` over all unknowns, and the assembled system supplies
-its own linear step.  The generic :class:`System` carries the dense
-``batch + (n, n)`` Jacobian and solves it with one batched
-``numpy.linalg.solve`` (the reference path); the compiled engine
-(:mod:`repro.circuit.compiled`) carries only the node×node block and
-eliminates the grounded-source unknowns exactly, factorizing just the
-free-node block.  Per-sample convergence is tracked with a mask so
-finished samples stop moving while stragglers iterate — at no point
-does Python loop over Monte-Carlo samples.
+The solver operates on stacked systems over a flat sample axis, and the
+assembled system supplies its own linear step.  The generic
+:class:`System` carries the dense ``batch + (n, n)`` Jacobian and the
+residual over all unknowns and solves the dense system with one batched
+``numpy.linalg.solve`` (the reference path).  The compiled engine
+(:mod:`repro.circuit.compiled`) assembles the free-node rows only, steps
+the node unknowns by exact elimination of the grounded sources and
+factorizes just the free-node block; its branch currents come from KCL
+once the solve has converged.  Per-sample convergence is tracked with a
+mask so finished samples stop moving while stragglers iterate — at no
+point does Python loop over Monte-Carlo samples.
 """
 
 from __future__ import annotations
@@ -60,15 +61,26 @@ class System:
         if row >= 0 and col >= 0:
             self.jacobian[..., row, col] += value
 
-    @staticmethod
-    def newton_step(jacobian: np.ndarray, residual: np.ndarray):
-        """Newton updates for a stacked selection: ``J dv = -r``, dense.
+    def newton_step(self, v: np.ndarray, sel: np.ndarray, gmin: float,
+                    n_nodes: int):
+        """Newton updates of the samples *sel*: ``J dv = -r``, dense.
 
-        *jacobian* ``(k, n, n)`` and *residual* ``(k, n)`` are the
-        gmin-conditioned active rows; returns ``(dv, solvable)`` as
-        :func:`_solve_stacked` does.
+        *v* is the flat ``(N, n)`` solution and *sel* the active sample
+        indices.  The selected rows are gmin-conditioned (``+gmin`` on
+        the node diagonal, ``+gmin * v`` on the node residual rows) and
+        solved together.  Returns ``(dv, solvable, residual)``: *dv*
+        ``(k, n)`` over every unknown, *solvable* as
+        :func:`_solve_stacked` gives it, and the conditioned node rows
+        of the residual the convergence test reads.
         """
-        return _solve_stacked(jacobian, residual)
+        n = self.n
+        node = np.arange(n_nodes)
+        jac = self.jacobian.reshape(-1, n, n)[sel]
+        jac[:, node, node] += gmin
+        res = self.residual.reshape(-1, n)[sel]
+        res[:, :n_nodes] += gmin * v[sel, :n_nodes]
+        dv, solvable = _solve_stacked(jac, res)
+        return dv, solvable, res[:, :n_nodes]
 
 
 @dataclass
@@ -90,7 +102,8 @@ class NewtonInfo:
 
     #: Boolean mask with the batch shape: True where the sample converged.
     converged: np.ndarray
-    #: Iterations spent in the last inner loop (max over samples).
+    #: Iterations spent in the last inner loop (max over samples).  The
+    #: ``newton.solve`` span reports the total over every loop instead.
     iterations: int = 0
 
 
@@ -106,12 +119,13 @@ def newton_solve(
     Parameters
     ----------
     assemble:
-        Callback building the :class:`System` (Jacobian + residual) at a
-        trial solution.  Must already include all element stamps.  The
-        result may be any object with ``jacobian`` (its first
-        ``n_nodes`` rows/columns are the node unknowns), ``residual``
-        (``batch + (n,)``) and a ``newton_step(jacobian, residual)`` that
-        solves the stacked selection — see :meth:`System.newton_step`.
+        Callback building the system (Jacobian + residual) at a trial
+        solution.  Must already include all element stamps.  The result
+        may be any object with a ``newton_step(v, sel, gmin, n_nodes)``
+        that gmin-conditions and solves the selected samples — see
+        :meth:`System.newton_step`.  Its updates cover the leading
+        unknowns it steps (all of them for :class:`System`, the nodes
+        for the compiled engine); the rest do not move.
     v0:
         Initial guess, shape ``batch + (n,)`` (modified copies are used,
         the input is untouched).
@@ -126,7 +140,9 @@ def newton_solve(
     is frozen (its unknowns stop moving) while stragglers keep
     iterating, so every sample follows exactly the trajectory it would
     follow in a standalone scalar solve.  A sample whose update turns
-    non-finite is frozen as failed without disturbing the others.
+    non-finite is frozen as failed without disturbing the others.  The
+    ``newton.solve`` span's ``iterations`` is the total over the plain
+    pass and every gmin rung — one per ``assemble`` call.
     """
     opts = options or NewtonOptions()
     v = np.array(v0, dtype=float)
@@ -135,8 +151,9 @@ def newton_solve(
     with _trace_span("newton.solve", batch=int(v[..., 0].size)) as sp:
         converged, iters = _newton_inner(assemble, v, n_nodes, opts,
                                          opts.gmin)
+        total = iters
         if np.all(converged):
-            sp.set(iterations=int(iters),
+            sp.set(iterations=int(total),
                    converged=int(np.count_nonzero(converged)),
                    gmin_ladder=False)
             return (v, NewtonInfo(converged, iters)) if return_info else v
@@ -159,8 +176,9 @@ def newton_solve(
             ladder_converged, iters = _newton_inner(
                 assemble, v, n_nodes, opts, gmin, restrict=ladder
             )
+            total += iters
         converged = converged | ladder_converged
-        sp.set(iterations=int(iters),
+        sp.set(iterations=int(total),
                converged=int(np.count_nonzero(converged)),
                gmin_ladder=True)
         if np.all(converged) or return_info:
@@ -203,17 +221,22 @@ def _newton_inner(
     """In-place Newton loop with per-sample convergence masking.
 
     Returns ``(converged, iterations)`` where *converged* is a boolean
-    mask with the batch shape (a 0-d array for unbatched solves).
-    Converged samples are frozen; only still-active samples enter the
-    system's ``newton_step`` (one stacked ``np.linalg.solve``: the dense
-    ``(k, n, n)`` systems on the generic path, the free-node block after
-    source elimination on the compiled path), so a handful of stragglers
-    no longer pays the factorization cost of the whole batch.  Assembly
-    still evaluates the full batch — frozen samples' unknowns are
-    unchanged, so their stamps are recomputed identically.  With the
-    source unknowns eliminated, assembly and device evaluation are the
-    larger share of an iteration; assembling only the active subset
-    would need mask-aware assemble closures.
+    mask with the batch shape (a 0-d array for unbatched solves) and
+    *iterations* counts this loop's ``assemble`` calls.  Converged
+    samples are frozen; only still-active samples enter the system's
+    ``newton_step``, which gathers and gmin-conditions just those rows
+    and solves them in one stacked ``np.linalg.solve`` (the dense
+    ``(k, n, n)`` systems on the generic path, the free-node block on
+    the compiled path), so a handful of stragglers no longer pays for
+    the whole batch.  The step returns the updates of the unknowns it
+    steps and the conditioned residual rows it owns; a sample converges
+    when every update is below ``vtol`` and every such residual below
+    ``itol`` — on the compiled path, the node updates and the free-node
+    rows, so branch currents and pinned rows do not hold a sample back.
+    Assembly still evaluates the full batch — frozen samples' unknowns
+    are unchanged, so their stamps are recomputed identically;
+    assembling only the active subset would need mask-aware assemble
+    closures.
 
     *restrict* (optional boolean mask, batch shape) limits the loop to a
     subset of samples; everything outside it is left untouched and
@@ -230,49 +253,33 @@ def _newton_inner(
         active = np.broadcast_to(restrict, batch).reshape(n_batch).copy()
     started = active.copy()
     failed = np.zeros(n_batch, dtype=bool)
-    node_idx = np.arange(n_nodes)
     iteration = 0
-    for iteration in range(1, opts.max_iterations + 1):
-        if not active.any():
-            break
+    while active.any() and iteration < opts.max_iterations:
+        iteration += 1
         system = assemble(v)
-        jac = system.jacobian
-        res = system.residual.copy()
-
-        # gmin conditioning on node rows only.
-        jac[..., node_idx, node_idx] += gmin
-        res[..., :n_nodes] += gmin * v[..., :n_nodes]
-
-        m = jac.shape[-1]
-        jac_f = jac.reshape(n_batch, m, m)
-        res_f = res.reshape(n_batch, n)
         sel = np.flatnonzero(active)
-        dv, solvable = system.newton_step(jac_f[sel], res_f[sel])
+        dv, solvable, res = system.newton_step(vf, sel, gmin, n_nodes)
         if solvable is not None:
             singular = sel[~solvable]
             failed[singular] = True
             active[singular] = False
-            sel = sel[solvable]
-            dv = dv[solvable]
+            sel, dv, res = sel[solvable], dv[solvable], res[solvable]
 
         finite = np.isfinite(dv).all(axis=-1)
         diverged = sel[~finite]
         failed[diverged] = True
         active[diverged] = False
 
-        sel = sel[finite]
+        sel, res = sel[finite], res[finite]
         dv = np.clip(dv[finite], -opts.vlimit, opts.vlimit)
-        res_active = res_f[sel]
-        vf[sel] += dv
+        vf[sel, :dv.shape[-1]] += dv
 
         dv_ok = np.abs(dv).max(axis=-1) < opts.vtol
-        if n_nodes:
-            res_ok = np.abs(res_active[:, :n_nodes]).max(axis=-1) < opts.itol
+        if res.shape[-1]:
+            res_ok = np.abs(res).max(axis=-1) < opts.itol
         else:
             res_ok = np.ones(sel.shape, dtype=bool)
         active[sel[dv_ok & res_ok]] = False
-        if not active.any():
-            break
 
     converged = started & ~(active | failed)
     return converged.reshape(batch), iteration

@@ -84,14 +84,18 @@ def transient(
     if compiled is not None:
         # Charge/companion histories live as one flat array per element
         # group; the stepping loop below is shared with the generic path.
+        # The compiled Newton loop leaves branch currents alone; each
+        # accepted step's history update fills them by KCL.
         q_hist = compiled.charge_state(v)
         i_hist = [np.zeros_like(q) for q in q_hist]
+        gmin = (options or NewtonOptions()).gmin
 
         def make_assemble(t_new, coeff, use_be):
             return compiled.assemble_transient(t_new, coeff, use_be, q_hist, i_hist)
 
-        def advance_history(v_new, coeff, use_be):
-            compiled.advance_history(v_new, coeff, use_be, q_hist, i_hist)
+        def advance_history(v_new, t_new, coeff, use_be):
+            compiled.advance_history(v_new, t_new, coeff, use_be, q_hist,
+                                     i_hist, gmin)
 
     else:
         charge_elements: List = [
@@ -122,7 +126,7 @@ def transient(
 
             return assemble
 
-        def advance_history(v_new, coeff, use_be):
+        def advance_history(v_new, t_new, coeff, use_be):
             for k, element in enumerate(charge_elements):
                 q_new = np.array(element.charge_vector(v_new), dtype=float)
                 i_new = coeff * (q_new - q_hist[k])
@@ -142,7 +146,7 @@ def transient(
         v = newton_solve(
             make_assemble(t_new, coeff, use_be), v, circuit.n_nodes, options
         )
-        advance_history(v, coeff, use_be)
+        advance_history(v, t_new, coeff, use_be)
 
         if step % record_every == 0 or step == n_steps:
             recorded_times.append(t_new)

@@ -101,6 +101,11 @@ _DUPES_C = _REGISTRY.counter(
     "repro_cluster_duplicate_results_total",
     "Shard results suppressed by first-completion-wins",
 )
+#: The executors' shard counter: a cluster shard counts once, when its
+#: first result is applied.
+_SHARDS_C = _REGISTRY.counter(
+    "repro_shards_executed_total", "Shard tasks executed",
+)
 
 
 def _is_loopback(host: str) -> bool:
@@ -822,6 +827,7 @@ class ClusterExecutor(Executor):
                               if l.status == "out"))
         elif was_void:
             lease.status = "done"
+        _SHARDS_C.inc(fresh)
         self._synthesize_spans(worker, lease, timing, fresh)
         state.accepted += 1
         self.faults.on_accept(state.accepted)

@@ -30,7 +30,8 @@ Conventions
   stacked finite-difference stamps, four bias points per call.
   :meth:`DeviceModel.iv_and_charges` finishes ONE fold and ONE core
   evaluation into both the I-V and the charge stamps, so a transient
-  Newton iteration evaluates each device once.
+  Newton iteration evaluates each device once; its value-path twin
+  :meth:`DeviceModel.ids_and_charges` serves each accepted time step.
 * Every formula exists once, so the analytic path's values are the value
   path's by construction, not by a kept copy: a model's gradient core
   calls its value core ``_core_normalized`` (which also returns the
@@ -329,6 +330,25 @@ class DeviceModel(abc.ABC):
         return self._unfold_charges(
             swap, *self._charges_normalized(vgs_eff, vds_eff)
         )
+
+    def ids_and_charges(self, vg, vd, vs):
+        """Return ``(ids(...), charges(...))`` from one fold and one
+        value-core evaluation.
+
+        The same operations on the same inputs as the two separate
+        calls, so the results are bitwise theirs: a compiled transient
+        refreshes its charge history and closes the branch currents'
+        KCL at an accepted step with this one evaluation.
+        """
+        vgs_eff, vds_eff, swap = _fold_bias(vg, vd, vs, self.sign)
+        ids_n, q_n = self._ids_and_charges_normalized(vgs_eff, vds_eff)
+        return self._unfold_ids(swap, ids_n), self._unfold_charges(swap, *q_n)
+
+    def _ids_and_charges_normalized(self, vgs, vds):
+        """``(_ids_normalized, _charges_normalized)``; models with a
+        shared value core override this to evaluate it once."""
+        return (self._ids_normalized(vgs, vds),
+                self._charges_normalized(vgs, vds))
 
     # ------------------------------------------------------------------
     # Derivatives: analytic when the model provides gradient hooks,

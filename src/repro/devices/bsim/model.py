@@ -246,6 +246,11 @@ class BSIMDevice(DeviceModel):
     def _charges_grad_normalized(self, vgs, vds, core):
         return self._charges_from_core(vgs, vds, *core)
 
+    def _ids_and_charges_normalized(self, vgs, vds):
+        core = self._core_normalized(vgs, vds)
+        return (self._ids_from_core(vds, core)[0],
+                self._charges_from_core(vgs, vds, core))
+
     def with_params(self, params: BSIMParams) -> "BSIMDevice":
         """New device sharing temperature/derivative mode, new card."""
         return BSIMDevice(params, self.temperature, self.derivatives)

@@ -264,6 +264,11 @@ class VSDevice(DeviceModel):
     def _charges_grad_normalized(self, vgs, vds, core):
         return self._charges_from_core(vgs, vds, *core)
 
+    def _ids_and_charges_normalized(self, vgs, vds):
+        core = self._core_normalized(vgs, vds)
+        return (self._ids_from_core(core),
+                self._charges_from_core(vgs, vds, core))
+
     def with_params(self, params: VSParams) -> "VSDevice":
         """New device sharing temperature/derivative mode, new card."""
         return VSDevice(params, self.temperature, self.derivatives)

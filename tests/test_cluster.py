@@ -960,3 +960,24 @@ class TestClusterTelemetry:
         assert "repro_cluster_workers" in telemetry["metrics"]
         assert "repro_cluster_leases_in_flight" in telemetry["metrics"]
         assert "repro_cluster_retries_total" in telemetry["metrics"]
+
+    @pytest.mark.parametrize("faults, fault_counter", [
+        (lambda: None, None),
+        (lambda: ScriptedFaults(duplicate_results=1),
+         "repro_cluster_duplicate_results_total"),
+        (lambda: ScriptedFaults(kill_leases=1),
+         "repro_cluster_retries_total"),
+    ], ids=["clean", "duplicate_results", "kill_leases"])
+    def test_each_shard_counted_once(self, faults, fault_counter):
+        # repro_shards_executed_total counts a cluster shard when its
+        # first result applies, as the serial and pool executors count
+        # theirs: a duplicated frame or the re-run of a voided lease
+        # adds nothing.
+        executed = _counter_total("repro_shards_executed_total")
+        injected = fault_counter and _counter_total(fault_counter)
+        with _cluster(2, faults=faults(), allow=TEST_ALLOW) as (executor, _):
+            pairs = executor.map_shards(_EchoTask(), _shards(8))
+        assert [index for index, _ in pairs] == list(range(8))
+        assert _counter_total("repro_shards_executed_total") - executed == 8
+        if fault_counter:
+            assert _counter_total(fault_counter) > injected

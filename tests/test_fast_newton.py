@@ -441,6 +441,7 @@ class TestValuePathIdentity:
     charges that ``ids_and_derivatives``, ``charges_and_capacitance``
     and ``iv_and_charges`` return are ``ids()`` / ``charges()`` bit for
     bit — on Monte-Carlo cards of either model, not only nominal ones.
+    The fused value method ``ids_and_charges`` returns them too.
     """
 
     @settings(max_examples=60, deadline=None)
@@ -472,6 +473,9 @@ class TestValuePathIdentity:
             _assert_same_bits(ids_f, ids)
             _assert_same_bits(device.charges_and_capacitance(*args)[0], q)
             _assert_same_bits(q_f, q)
+            ids_v, q_v = device.ids_and_charges(*args)
+            _assert_same_bits(ids_v, ids)
+            _assert_same_bits(q_v, q)
 
 
 def _cell_circuits(technology, model):
@@ -517,6 +521,7 @@ class TestPolarityMergedPlans:
         circuit = _cell_circuits(technology, "vs")["nand2_fo3"]
         plan = compile_circuit(circuit)
         merged = plan.mos_groups[0].structure
+        partition = plan.structure.partition
         polarity = [int(circuit.elements[i].model.polarity)
                     for i in merged.slots]
         # Two contiguous subgroups along the device axis.
@@ -525,22 +530,30 @@ class TestPolarityMergedPlans:
         assert len(bounds) == 3
         parts = [
             _MosfetGroupStructure([merged.slots[lo:hi]], circuit.elements,
-                                  plan.n, plan.n_nodes)
+                                  plan.n, partition)
             for lo, hi in zip(bounds[:-1], bounds[1:])
         ]
-        n_dev = bounds[-1]
+        nf, npin = partition.free.size, partition.pinned.size
+        block = nf * plan.n_nodes
         rng = np.random.default_rng(3)
-        for prog, n_blocks, size in (("f_prog", 2, plan.n),
-                                     ("j_node_prog", 6, plan.n_nodes ** 2),
-                                     ("qf_prog", 3, plan.n),
-                                     ("qj_node_prog", 9, plan.n_nodes ** 2)):
-            values = rng.standard_normal((4, n_blocks * n_dev))
-            target = rng.standard_normal((4, size))
-            via_merged = target.copy()
-            _apply_scatter(via_merged, getattr(merged, prog), values)
-            via_parts = target.copy()
-            blocks = values.reshape(4, n_blocks, n_dev)
-            for part, lo, hi in zip(parts, bounds[:-1], bounds[1:]):
-                _apply_scatter(via_parts, getattr(part, prog),
-                               blocks[:, :, lo:hi].reshape(4, -1))
-            _assert_same_bits(via_merged, via_parts)
+        for subset, rows in (("dc", nf), ("tran", nf), ("kcl", npin)):
+            whole = getattr(merged, subset)
+            programs = [("f_prog", 2, rows), ("qf_prog", 3, rows)]
+            if subset != "kcl":
+                programs += [("j_prog", 6, block), ("qj_prog", 9, block)]
+            n_sub = whole.members.size
+            for prog, n_blocks, size in programs:
+                values = rng.standard_normal((4, n_blocks * n_sub))
+                target = rng.standard_normal((4, size))
+                via_merged = target.copy()
+                _apply_scatter(via_merged, getattr(whole, prog), values)
+                via_parts = target.copy()
+                blocks = values.reshape(4, n_blocks, n_sub)
+                for part, lo, hi in zip(parts, bounds[:-1], bounds[1:]):
+                    stamps = getattr(part, subset)
+                    mine = (whole.members >= lo) & (whole.members < hi)
+                    np.testing.assert_array_equal(whole.members[mine] - lo,
+                                                  stamps.members)
+                    _apply_scatter(via_parts, getattr(stamps, prog),
+                                   blocks[:, :, mine].reshape(4, -1))
+                _assert_same_bits(via_merged, via_parts)

@@ -4,8 +4,8 @@ A purely resistive network's node voltages obey the weighted graph
 Laplacian; networkx provides an independent construction.  Hypothesis
 drives random network topologies and values through both paths.  The
 compiled engine's grounded-source elimination is checked against the
-generic full-MNA solve and against a dense solve of the explicitly
-built full Jacobian.
+generic full-MNA solve and against a dense solve of the generic full
+MNA system; its branch currents close every pinned node's KCL.
 """
 
 import networkx as nx
@@ -27,14 +27,20 @@ from repro.circuit import (
     dc_operating_point,
     transient,
 )
+from repro.circuit.compiled import CompiledCircuit
 from repro.circuit.dcop import initial_guess
 from repro.circuit.mna import (
+    DEFAULT_GMIN,
     ConvergenceError,
     NewtonOptions,
     System,
     newton_solve,
 )
 from repro.circuit.waveforms import Waveform
+from repro.devices.base import DeviceModel
+from repro.devices.vs import VSDevice
+from repro.obs import Tracer
+from repro.obs.trace import activate
 
 
 def solve_with_networkx(edges, source_node, v_source):
@@ -247,6 +253,31 @@ class TestSingularJacobians:
             newton_solve(assemble, np.zeros(2), 1)
 
 
+class TestNewtonSpan:
+    def test_span_counts_every_assemble_call(self):
+        # Three iterations cannot walk v from 5 to 2 under the 0.3 V
+        # clamp, so the plain pass and all four gmin rungs run out: 15
+        # assemble calls.  The span reports every one of them, while
+        # NewtonInfo.iterations keeps the last loop's count.
+        calls = []
+        inner = _scalar_root_assemble(4.0)
+
+        def assemble(v):
+            calls.append(1)
+            return inner(v)
+
+        tracer = Tracer()
+        with activate(tracer):
+            _, info = newton_solve(assemble, np.full((1,), 5.0), 1,
+                                   options=NewtonOptions(max_iterations=3),
+                                   return_info=True)
+        (solve,) = [r for r in tracer.records if r["name"] == "newton.solve"]
+        assert not info.converged
+        assert solve["args"]["gmin_ladder"] is True
+        assert solve["args"]["iterations"] == len(calls) == 15
+        assert info.iterations == 3
+
+
 # ----------------------------------------------------------------------
 # Grounded-source elimination in the compiled engine.
 # ----------------------------------------------------------------------
@@ -353,37 +384,62 @@ def _assert_matches_generic(circuit, solve):
                                rtol=BRANCH_RTOL, atol=BRANCH_ATOL)
 
 
-def _full_jacobian(circuit, node_block):
-    """The dense MNA Jacobian: node block + the source stamp pattern."""
-    n = circuit.assign_branches()
-    n_nodes = circuit.n_nodes
-    full = np.zeros(node_block.shape[:-2] + (n, n))
-    full[..., :n_nodes, :n_nodes] = node_block
-    for src in circuit.vsources():
-        nb = src.branch_index
-        for a, b, sign in ((src.pos, nb, 1.0), (src.neg, nb, -1.0),
-                           (nb, src.pos, 1.0), (nb, src.neg, -1.0)):
-            if a >= 0 and b >= 0:
-                full[..., a, b] += sign
-    return full
+def _generic_system(circuit, v, t=0.0):
+    """The generic full-MNA system at *v*: every element stamped, over
+    every unknown (the reference the compiled engine eliminates from)."""
+    system = System(v.shape[:-1], circuit.assign_branches())
+    for element in circuit.elements:
+        element.stamp_static(system, v, t)
+        element.stamp_nonlinear(system, v)
+    return system
 
 
 def _assert_step_is_dense_solve(circuit, v):
-    """One compiled Newton step == np.linalg.solve on the full system."""
-    system = circuit.compiled().assemble_dc(0.0)(v)
+    """One compiled Newton step's node updates == np.linalg.solve on the
+    full MNA system (branch currents are not stepped)."""
     n_nodes = circuit.n_nodes
-    jac = system.jacobian.copy()
-    assert jac.shape[-2:] == (n_nodes, n_nodes)
-    jac[..., np.arange(n_nodes), np.arange(n_nodes)] += 1e-10
-    dv, solvable = system.newton_step(jac, system.residual)
+    flat = v.reshape(-1, v.shape[-1])
+    system = circuit.compiled().assemble_dc(0.0)(v)
+    dv, solvable, _ = system.newton_step(
+        flat, np.arange(flat.shape[0]), DEFAULT_GMIN, n_nodes
+    )
     assert solvable is None
-    full = _full_jacobian(circuit, jac)
-    dense = np.linalg.solve(full, -system.residual[..., None])[..., 0]
+    assert dv.shape == (flat.shape[0], n_nodes)
+    full = _generic_system(circuit, v)
+    node = np.arange(n_nodes)
+    jac = full.jacobian
+    jac[..., node, node] += DEFAULT_GMIN
+    res = full.residual
+    res[..., :n_nodes] += DEFAULT_GMIN * v[..., :n_nodes]
+    dense = np.linalg.solve(jac, -res[..., None])[..., 0].reshape(flat.shape)
     # Both solves are backward stable, so they agree to the system's
     # conditioning: the normwise forward-error bound n * eps * cond.
-    bound = dv.shape[-1] * np.finfo(float).eps * np.linalg.cond(full)
-    error = np.abs(dv - dense).max(axis=-1)
+    bound = dense.shape[-1] * np.finfo(float).eps * np.linalg.cond(
+        jac.reshape((-1,) + jac.shape[-2:])
+    )
+    error = np.abs(dv - dense[:, :n_nodes]).max(axis=-1)
     assert np.all(error <= bound * np.abs(dense).max(axis=-1))
+
+
+def _pinned_nodes(circuit):
+    return [src.pos if src.pos >= 0 else src.neg
+            for src in circuit.vsources()]
+
+
+def _kcl_residual(circuit, v, gmin):
+    """The generic residual plus its gmin term at *v*, and each row's
+    sum of absolute terms (elements and gmin)."""
+    n_nodes = circuit.n_nodes
+    residual = _generic_system(circuit, v).residual
+    residual[..., :n_nodes] += gmin * v[..., :n_nodes]
+    scale = np.zeros_like(residual)
+    for element in circuit.elements:
+        alone = System(v.shape[:-1], v.shape[-1])
+        element.stamp_static(alone, v, 0.0)
+        element.stamp_nonlinear(alone, v)
+        scale += np.abs(alone.residual)
+    scale[..., :n_nodes] += np.abs(gmin * v[..., :n_nodes])
+    return residual, scale
 
 
 class TestSourceElimination:
@@ -462,3 +518,128 @@ class TestSourceElimination:
             alone, alone_info = solve(r1[k], r2[k], v0[k].copy())
             assert alone_info.converged
             np.testing.assert_array_equal(v[k], alone)
+
+    @pytest.mark.parametrize("cell", sorted(CELLS))
+    @given(seed=st.integers(0, 2**16),
+           flips=st.lists(st.booleans(), min_size=1, max_size=5))
+    @settings(max_examples=3, deadline=None)
+    def test_kcl_branch_currents_close_pinned_rows(self, technology, cell,
+                                                   seed, flips):
+        # At the compiled DC solution the generic residual, gmin term
+        # included, vanishes on every pinned row to rounding: recursive
+        # summation of the row's terms in another order errs by at most
+        # (terms + 1) * eps * (sum of |terms|).
+        vdd = technology.vdd
+        factory = MonteCarloDeviceFactory(technology, 3, seed=seed)
+        circuit, hints = CELLS[cell](factory, vdd)
+        _flip_sources(circuit, flips)
+        v0 = initial_guess(circuit, hints)
+        v = _solve(circuit, "compiled",
+                   lambda c: dc_operating_point(c, v0=v0))
+        residual, scale = _kcl_residual(circuit, v, DEFAULT_GMIN)
+        pinned = _pinned_nodes(circuit)
+        bound = (len(circuit.elements) + 2) * np.finfo(float).eps
+        assert np.all(np.abs(residual[..., pinned])
+                      <= bound * scale[..., pinned])
+
+    def test_read_half_cell_iterates_free_coupled_members(self, technology,
+                                                          monkeypatch):
+        # With ql forced, PUL, PDL and AXL stamp only pinned rows: the DC
+        # Newton loop evaluates PUR, PDR and AXR and nothing else, and
+        # the KCL still recovers the supply and forcing currents.
+        factory = MonteCarloDeviceFactory(technology, 4, seed=17)
+        circuit, hints = _sram_half(factory, technology.vdd)
+        (group,) = circuit.compiled().mos_groups
+        members = [circuit.elements[group.structure.slots[i]]
+                   for i in group.structure.dc.members]
+        assert [m.name for m in members] == ["PUR", "PDR", "AXR"]
+        rng = np.random.default_rng(17)
+        bias = rng.uniform(0.0, technology.vdd, size=(3, 4, 3))
+        ids = group.dc_device.ids(*bias)
+        for j, member in enumerate(members):
+            np.testing.assert_array_equal(
+                ids[..., j], member.model.ids(*bias[..., j])
+            )
+
+        evaluated = []
+        ids_and_derivatives = DeviceModel.ids_and_derivatives
+
+        def spy(device, vg, vd, vs):
+            evaluated.append(device)
+            return ids_and_derivatives(device, vg, vd, vs)
+
+        monkeypatch.setattr(DeviceModel, "ids_and_derivatives", spy)
+        v0 = initial_guess(circuit, hints)
+        compiled = _solve(circuit, "compiled",
+                          lambda c: dc_operating_point(c, v0=v0))
+        assert evaluated
+        assert all(device is group.dc_device for device in evaluated)
+        monkeypatch.undo()
+        generic = _solve(circuit, "generic",
+                         lambda c: dc_operating_point(c, v0=v0))
+        for name in ("VDD", "VFORCE"):
+            branch = circuit[name].branch_index
+            np.testing.assert_allclose(compiled[..., branch],
+                                       generic[..., branch],
+                                       rtol=BRANCH_RTOL, atol=BRANCH_ATOL)
+
+    def test_transient_evaluates_devices_once_per_iteration_and_step(
+            self, technology, monkeypatch):
+        # NAND2 FO3: every Newton iteration is one fused core evaluation,
+        # and every accepted step one more (history and KCL together);
+        # the extra one is the initial charge history.
+        factory = MonteCarloDeviceFactory(technology, 3, seed=23)
+        circuit, hints = CELLS["nand2_fo3"](factory, technology.vdd)
+        v0 = initial_guess(circuit, hints)
+        v_dc = _solve(circuit, "compiled",
+                      lambda c: dc_operating_point(c, v0=v0))
+        cores, iterations = [], []
+        core = VSDevice._core_normalized
+
+        def counting_core(device, vgs, vds):
+            cores.append(1)
+            return core(device, vgs, vds)
+
+        build = CompiledCircuit.assemble_transient
+
+        def counting_build(plan, *args):
+            assemble = build(plan, *args)
+
+            def counted(v):
+                iterations.append(1)
+                return assemble(v)
+
+            return counted
+
+        monkeypatch.setattr(VSDevice, "_core_normalized", counting_core)
+        monkeypatch.setattr(CompiledCircuit, "assemble_transient",
+                            counting_build)
+        result = _solve(circuit, "compiled",
+                        lambda c: transient(c, 24e-12, 2e-12, v0=v_dc))
+        steps = len(result.times) - 1
+        assert steps == 12
+        assert len(cores) == len(iterations) + steps + 1
+
+    @pytest.mark.parametrize("polarity", ["nmos", "pmos"])
+    def test_all_pinned_device_matches_generic(self, technology, polarity):
+        # Every node pinned: no free row and an empty iterated device,
+        # in DC and in the transient; KCL alone gives the currents.
+        factory = MonteCarloDeviceFactory(technology, 4, seed=29)
+        device = factory(polarity, 300.0, 40.0)
+        circuit = Circuit()
+        circuit.add_vsource("d", GROUND, DC(0.5), name="VD")
+        circuit.add_vsource("g", GROUND, DC(0.7), name="VG")
+        circuit.add_mosfet(device, d="d", g="g", s=GROUND, name="M")
+        circuit.add_capacitor("d", GROUND, 1e-15, name="C")
+        (group,) = circuit.compiled().mos_groups
+        assert group.structure.dc.members.size == 0
+        assert group.structure.tran.members.size == 0
+        _assert_matches_generic(circuit, dc_operating_point)
+        _assert_matches_generic(
+            circuit, lambda c: transient(c, 4e-12, 1e-12).voltages
+        )
+        v = _solve(circuit, "compiled", dc_operating_point)
+        np.testing.assert_allclose(
+            v[..., circuit["VD"].branch_index],
+            -(device.ids(0.7, 0.5, 0.0) + DEFAULT_GMIN * 0.5), rtol=1e-14,
+        )
