@@ -41,16 +41,17 @@ unknowns split once per structure into pinned nodes, their sources'
 branch currents and free nodes.  The Newton loop assembles, steps and
 tests the free-node rows only: the scatter programs stamp the free rows
 of the residual and the free rows × all nodes block of the Jacobian (its
-free and pinned columns are the step's ff and fp blocks), and a MOSFET
-that stamps no free row — in DC, drain and source pinned or grounded; in
-a transient, its gate too — is left out of the iterated stacked device.
+free and pinned columns are the step's ff and fp blocks).  A DC
+iteration leaves out of the iterated stacked device every MOSFET whose
+drain and source are both pinned or grounded (it stamps no free row); a
+transient iterates every member.
 :meth:`_FreeRowSystem.newton_step` takes the pinned-node steps from the
 source rows and solves the free block with one stacked
 ``np.linalg.solve``; in exact arithmetic its node updates are those of
 the dense MNA step.  Branch currents do not move inside the loop: they
 come from KCL once per converged solution, at every pinned node, from all
-members, with the gmin term the residual carries
-(:meth:`CompiledCircuit.set_branch_currents` after a DC solve,
+members, with the gmin term each sample's residual carried when it
+converged (:meth:`CompiledCircuit.set_branch_currents` after a DC solve,
 :meth:`CompiledCircuit.advance_history` at each accepted time step).
 
 Compilation is split in two (PR 9):
@@ -217,6 +218,32 @@ def _stack_field(values):
     return np.stack([np.broadcast_to(a, common) for a in arrays], axis=-1)
 
 
+def _rebuilt(template, sign, field):
+    """A copy of the device *template* with folding *sign* and every card
+    field but ``polarity`` set to ``field(name)``.
+
+    The copy bypasses ``__init__`` — the cards it derives from are
+    already validated and temperature-adjusted — and copies every other
+    instance attribute (temperature, derived constants like ``phit``)
+    from *template*, so any :class:`DeviceModel` subclass with
+    elementwise math rebuilds cleanly.  It has no ``polarity``
+    attribute: its ``sign`` may hold one ±1 per member, and nothing can
+    fold a mixed NMOS/PMOS group with one member's polarity.  The card
+    keeps the template's ``polarity`` field, which no model arithmetic
+    reads.
+    """
+    cls = type(template)
+    device = cls.__new__(cls)
+    device.__dict__.update(template.__dict__)
+    device.__dict__.pop("polarity", None)
+    device.sign = sign
+    device.params = dataclasses.replace(template.params, **{
+        f.name: field(f.name)
+        for f in dataclasses.fields(template.params) if f.name != "polarity"
+    })
+    return device
+
+
 def _stack_devices(models):
     """One stacked device evaluating all of *models* in a single call.
 
@@ -224,31 +251,13 @@ def _stack_devices(models):
     key), so only the numeric card fields and the polarity differ.  Each
     card field is stacked along a trailing device axis, and so is the
     folding sign: the stacked device's ``sign`` holds one ±1 per member
-    (a plain float when all members agree) and the device has no
-    ``polarity`` at all, so nothing can fold a mixed NMOS/PMOS group
-    with one member's polarity.  The stacked card keeps the first
-    member's ``polarity`` field, which no model arithmetic reads.  The
-    stacked instance bypasses ``__init__`` — the member cards are
-    already validated and temperature-adjusted — and copies every other
-    instance attribute (temperature, derived constants like ``phit``)
-    from the first member, so any :class:`DeviceModel` subclass with
-    elementwise math stacks cleanly.
+    (a plain float when all members agree).  Everything else comes from
+    the first member (:func:`_rebuilt`).
     """
-    first = models[0]
-    cls = type(first)
-    changes = {}
-    for field in dataclasses.fields(first.params):
-        if field.name == "polarity":
-            continue
-        changes[field.name] = _stack_field(
-            [getattr(m.params, field.name) for m in models]
-        )
-    stacked = cls.__new__(cls)
-    stacked.__dict__.update(first.__dict__)
-    del stacked.polarity
-    stacked.sign = _stack_field([m.sign for m in models])
-    stacked.params = dataclasses.replace(first.params, **changes)
-    return stacked
+    return _rebuilt(
+        models[0], _stack_field([m.sign for m in models]),
+        lambda name: _stack_field([getattr(m.params, name) for m in models]),
+    )
 
 
 def _take_members(device, members: np.ndarray):
@@ -262,18 +271,8 @@ def _take_members(device, members: np.ndarray):
     def take(value):
         return value if np.ndim(value) == 0 else value[..., members]
 
-    params = device.params
-    changes = {
-        field.name: take(getattr(params, field.name))
-        for field in dataclasses.fields(params)
-        if field.name != "polarity"
-    }
-    cls = type(device)
-    subset = cls.__new__(cls)
-    subset.__dict__.update(device.__dict__)
-    subset.sign = take(device.sign)
-    subset.params = dataclasses.replace(params, **changes)
-    return subset
+    return _rebuilt(device, take(device.sign),
+                    lambda name: take(getattr(device.params, name)))
 
 
 def _scatter_program(idx: np.ndarray, order=None) -> tuple:
@@ -375,45 +374,36 @@ class _MemberStamps:
     subgroup by subgroup (all of one polarity's blocks, then the
     next's), so every target cell sums its terms in the order the
     whole group's stamps would — the per-cell summation order of the
-    value path, which the golden figures pin.  ``f_prog`` stamps the
-    I-V residual (+ids at d, -ids at s) and ``qf_prog`` the charges over
-    terminals (g, d, s), terminal-major.  With *jacobian*, ``j_prog``
-    stamps :data:`_IV_ENTRIES` and ``qj_prog`` the capacitance entries
-    into the flat rows × all nodes block.  ``gather`` indexes the
-    members' (g, d, s) voltages in ``v`` with one appended zero, and
-    ``q_pos`` the members' charges in the group's terminal-major
-    layout (None when the subset is the whole group).
+    value path, which the golden figures pin.  *programs* names the
+    ones built: ``f_prog`` stamps the I-V residual (+ids at d, -ids at
+    s), ``j_prog`` the :data:`_IV_ENTRIES` into the flat rows × all
+    nodes block, ``qf_prog`` the charges over terminals (g, d, s),
+    terminal-major, and ``qj_prog`` the capacitance entries into that
+    block.  ``gather`` indexes the members' (g, d, s) voltages in ``v``
+    with one appended zero.
     """
 
     def __init__(self, terminals, bounds, members: np.ndarray,
-                 row_map: np.ndarray, n: int, jacobian: bool):
-        n_dev = bounds[-1]
+                 row_map: np.ndarray, n: int, programs):
         self.members = members
         sub_bounds = np.searchsorted(members, bounds).tolist()
         nodes = dict(zip(_TERMS, (t[members] for t in terminals)))
         rows = {t: _row_index(nodes[t], row_map) for t in _TERMS}
         self.gather = tuple(_gather_index(nodes[t], n) for t in _TERMS)
-        self.q_pos = None if members.size == n_dev else np.concatenate(
-            [k * n_dev + members for k in range(len(_TERMS))]
-        )
-        self.f_prog = _scatter_program(
-            np.concatenate([rows["d"], rows["s"]]),
-            _subgroup_order(2, sub_bounds),
-        )
-        self.qf_prog = _scatter_program(
-            np.concatenate([rows[t] for t in _TERMS]),
-            _subgroup_order(3, sub_bounds),
-        )
-        if not jacobian:
-            return
         n_nodes = row_map.size
-        self.j_prog = _scatter_program(np.concatenate([
-            _block_index(rows[r], nodes[c], n_nodes) for r, c in _IV_ENTRIES
-        ]), _subgroup_order(len(_IV_ENTRIES), sub_bounds))
-        self.qj_prog = _scatter_program(np.concatenate([
-            _block_index(rows[ti], nodes[tj], n_nodes)
-            for ti in _TERMS for tj in _TERMS
-        ]), _subgroup_order(9, sub_bounds))
+        layouts = {
+            "f_prog": [rows["d"], rows["s"]],
+            "j_prog": [_block_index(rows[r], nodes[c], n_nodes)
+                       for r, c in _IV_ENTRIES],
+            "qf_prog": [rows[t] for t in _TERMS],
+            "qj_prog": [_block_index(rows[ti], nodes[tj], n_nodes)
+                        for ti in _TERMS for tj in _TERMS],
+        }
+        for name in programs:
+            blocks = layouts[name]
+            order = _subgroup_order(len(blocks), sub_bounds)
+            setattr(self, name,
+                    _scatter_program(np.concatenate(blocks), order))
 
 
 class _MosfetGroupStructure:
@@ -428,9 +418,10 @@ class _MosfetGroupStructure:
 
     Three member subsets carry their own programs: ``dc`` iterates the
     members whose drain or source is a free node (a DC I-V stamp touches
-    rows d and s only), ``tran`` those with a free gate, drain or source
-    (the charge stamps add row g), both into the free rows; ``kcl`` is
-    every member into the pinned rows, for the branch currents.
+    rows d and s only) into the free rows; ``tran`` iterates every
+    member into the free rows, charges included (a member's stamps on
+    rows without a free node are dropped); ``kcl`` is every member into
+    the pinned rows, for the branch currents.
     """
 
     def __init__(self, subgroups: List[List[int]], elements: list,
@@ -442,31 +433,32 @@ class _MosfetGroupStructure:
             np.array([getattr(e, t) for e in members], dtype=np.intp)
             for t in _TERMS
         )
-        g, d, s = (_row_index(t, partition.free_row) >= 0 for t in terminals)
+        d, s = (_row_index(t, partition.free_row) >= 0 for t in terminals[1:])
+        every = np.arange(len(members))
         self.dc = _MemberStamps(terminals, bounds, np.flatnonzero(d | s),
-                                partition.free_row, n, jacobian=True)
-        self.tran = _MemberStamps(terminals, bounds,
-                                  np.flatnonzero(g | d | s),
-                                  partition.free_row, n, jacobian=True)
-        self.kcl = _MemberStamps(terminals, bounds, np.arange(len(members)),
-                                 partition.pinned_row, n, jacobian=False)
+                                partition.free_row, n, ("f_prog", "j_prog"))
+        self.tran = _MemberStamps(terminals, bounds, every,
+                                  partition.free_row, n,
+                                  ("f_prog", "j_prog", "qf_prog", "qj_prog"))
+        self.kcl = _MemberStamps(terminals, bounds, every,
+                                 partition.pinned_row, n,
+                                 ("f_prog", "qf_prog"))
 
 
 class _MosfetGroup:
     """A group structure bound to one circuit's stacked device.
 
-    ``device`` stacks every member; ``dc_device`` and ``tran_device``
-    are its iterated subsets (the device itself when a subset is every
-    member).
+    ``device`` stacks every member; ``dc_device`` is the members a DC
+    iteration evaluates (the device itself when that is every member).
     """
 
     def __init__(self, structure: _MosfetGroupStructure, models):
         self.structure = structure
         self.device = _stack_devices(models)
-        self.dc_device, self.tran_device = (
-            self.device if stamps.q_pos is None
-            else _take_members(self.device, stamps.members)
-            for stamps in (structure.dc, structure.tran)
+        members = structure.dc.members
+        self.dc_device = (
+            self.device if members.size == len(models)
+            else _take_members(self.device, members)
         )
 
     def gather(self, v_aug: np.ndarray, stamps: _MemberStamps):
@@ -812,8 +804,8 @@ class CompiledCircuit:
         Returns the free-row residual accumulator, the flat free-row
         Jacobian seeded with the constant *base_jac*, and the per-group
         ``(q, cmat)`` list.  Without *charges* each group evaluates its
-        ``dc_device``; with *charges*, its ``tran_device``, taking the
-        charges and capacitances from the same device evaluation
+        ``dc_device``; with *charges*, every member, taking the charges
+        and capacitances from the same device evaluation
         (:meth:`DeviceModel.iv_and_charges`).
         """
         batch = v_aug.shape[:-1]
@@ -824,7 +816,7 @@ class CompiledCircuit:
         for grp in self.mos_groups:
             if charges:
                 stamps = grp.structure.tran
-                iv, q_cmat = grp.tran_device.iv_and_charges(
+                iv, q_cmat = grp.device.iv_and_charges(
                     *grp.gather(v_aug, stamps)
                 )
                 group_charges.append(q_cmat)
@@ -864,13 +856,16 @@ class CompiledCircuit:
     # ------------------------------------------------------------------
     # Branch currents: KCL at the pinned nodes, once per solution.
     # ------------------------------------------------------------------
-    def _set_branches(self, v, r_pinned, b_pinned, gmin: float) -> None:
+    def _set_branches(self, v, r_pinned, b_pinned, gmin) -> None:
         """``i = -sign * (r_p + gmin * v_p)`` into *v*'s branch unknowns.
 
         *r_pinned* holds every member's stamps on the pinned rows; the
-        linear and current-source terms and the gmin term the Newton
-        residual carries are added here, so a converged solution's full
-        MNA residual vanishes on the pinned rows to rounding.
+        linear and current-source terms and the gmin term are added
+        here.  *gmin* is the conductance each sample's Newton system
+        carried when it converged (batch shape, or one scalar for all;
+        :attr:`repro.circuit.mna.NewtonInfo.gmin`), so a converged
+        solution's full MNA residual vanishes on the pinned rows to
+        rounding.
         """
         part = self.structure.partition
         if self.g_pinned is not None:
@@ -878,11 +873,10 @@ class CompiledCircuit:
                                           v[..., :self.n_nodes])
         if b_pinned is not None:
             r_pinned = r_pinned + b_pinned
-        r_pinned = r_pinned + gmin * v[..., part.pinned]
+        r_pinned = r_pinned + np.asarray(gmin)[..., None] * v[..., part.pinned]
         v[..., part.branches] = part.neg_sign * r_pinned
 
-    def set_branch_currents(self, v: np.ndarray, t: float,
-                            gmin: float) -> None:
+    def set_branch_currents(self, v: np.ndarray, t: float, gmin) -> None:
         """Fill the branch currents of the DC solution *v* (in place).
 
         One value-path evaluation of every member (``ids``), stamped on
@@ -920,19 +914,10 @@ class CompiledCircuit:
         """Assembly closure for one implicit integration step.
 
         ``q_hist``/``i_hist`` are the per-group flat charge and companion
-        current histories (layouts from :meth:`charge_state`); each
-        MOSFET group's iterated members take their entries once here.
+        current histories (layouts from :meth:`charge_state`).
         """
         sources = self._sources(t)
         base_jac = self.j_base + coeff * self.c_base
-        history = []
-        for k, grp in enumerate(self.charge_groups()):
-            q_old, i_old = q_hist[k], i_hist[k]
-            if isinstance(grp, _MosfetGroup):
-                q_pos = grp.structure.tran.q_pos
-                if q_pos is not None:
-                    q_old, i_old = q_old[..., q_pos], i_old[..., q_pos]
-            history.append((grp, q_old, i_old))
 
         def assemble(v: np.ndarray) -> _FreeRowSystem:
             v_aug = self._augment(v)
@@ -940,7 +925,7 @@ class CompiledCircuit:
                 v_aug, base_jac, charges=True
             )
             mos_charges = iter(mos_charges)
-            for grp, q_old, i_old in history:
+            for k, grp in enumerate(self.charge_groups()):
                 if isinstance(grp, _CapacitorGroup):
                     # Linear Jacobian already folded into base_jac.
                     q_new = grp.charge_flat(v_aug)
@@ -959,16 +944,16 @@ class CompiledCircuit:
                     stamps = grp.structure.tran
                     _apply_scatter(jac_flat, stamps.qj_prog, coeff * cap_vals)
                     qf_prog = stamps.qf_prog
-                i_comp = coeff * (q_new - q_old)
+                i_comp = coeff * (q_new - q_hist[k])
                 if not use_be:
-                    i_comp = i_comp - i_old
+                    i_comp = i_comp - i_hist[k]
                 _apply_scatter(res, qf_prog, i_comp)
             return self._system(v, res, jac_flat, sources)
 
         return assemble
 
     def advance_history(self, v, t, coeff, use_be, q_hist, i_hist,
-                        gmin: float) -> None:
+                        gmin) -> None:
         """Update charge/current histories at the accepted solution *v*
         and fill its branch currents (in place).
 

@@ -6,7 +6,13 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.circuit.mna import ConvergenceError, NewtonOptions, System, newton_solve
+from repro.circuit.mna import (
+    ConvergenceError,
+    NewtonOptions,
+    System,
+    newton_solve,
+    require_converged,
+)
 from repro.circuit.netlist import Circuit
 
 __all__ = ["dc_operating_point", "initial_guess", "ConvergenceError"]
@@ -56,7 +62,8 @@ def dc_operating_point(
     Returns the full unknown vector ``batch + (n,)``: node voltages first
     (in :attr:`Circuit.node_names` order), then source branch currents.
     A compiled plan's Newton loop moves the node voltages only; its
-    branch currents follow from KCL at the converged solution.
+    branch currents follow from KCL at the converged solution, with the
+    gmin each sample converged at.
     """
     compiled = circuit.compiled()
     if compiled is not None:
@@ -68,7 +75,9 @@ def dc_operating_point(
         v0 = np.zeros(batch + (n,))
     else:
         v0 = np.broadcast_to(np.asarray(v0, dtype=float), batch + (n,)).copy()
-    v = newton_solve(assemble, v0, circuit.n_nodes, options)
+    v, info = newton_solve(assemble, v0, circuit.n_nodes, options,
+                           return_info=True)
+    require_converged(info, options)
     if compiled is not None:
-        compiled.set_branch_currents(v, t, (options or NewtonOptions()).gmin)
+        compiled.set_branch_currents(v, t, info.gmin)
     return v

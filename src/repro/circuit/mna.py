@@ -105,6 +105,11 @@ class NewtonInfo:
     #: Iterations spent in the last inner loop (max over samples).  The
     #: ``newton.solve`` span reports the total over every loop instead.
     iterations: int = 0
+    #: The gmin each sample's system carried in its last Newton loop
+    #: (batch shape): ``NewtonOptions.gmin`` for samples the plain pass
+    #: solved, the last ``gmin_steps`` rung for those the ladder took
+    #: over.  The compiled engine closes its branch currents' KCL with it.
+    gmin: Optional[np.ndarray] = None
 
 
 def newton_solve(
@@ -134,7 +139,8 @@ def newton_solve(
         source branch currents).
     return_info:
         When True, return ``(v, NewtonInfo)`` instead of raising on
-        failure; samples whose mask entry is False did not converge.
+        failure; samples whose mask entry is False did not converge
+        (:func:`require_converged` raises as the plain call would).
 
     Convergence is tracked per sample: a sample that meets the tolerance
     is frozen (its unknowns stop moving) while stragglers keep
@@ -152,40 +158,50 @@ def newton_solve(
         converged, iters = _newton_inner(assemble, v, n_nodes, opts,
                                          opts.gmin)
         total = iters
-        if np.all(converged):
-            sp.set(iterations=int(total),
-                   converged=int(np.count_nonzero(converged)),
-                   gmin_ladder=False)
-            return (v, NewtonInfo(converged, iters)) if return_info else v
-
-        # gmin stepping for the samples the plain pass could not solve:
-        # heavily damped systems first, reusing each solution as the next
-        # initial guess.  Samples that already converged keep their plain
-        # Newton result and sit the ladder out — exactly what their
-        # standalone scalar solves would do — and every rung runs so the
-        # verdict comes from the final (lightest-damped) rung, never a
-        # damped rung's accuracy.
+        gmin = np.full(converged.shape, opts.gmin)
         ladder = ~converged
-        v0 = np.broadcast_to(np.asarray(v0, dtype=float), v.shape)
-        n = v.shape[-1]
-        v.reshape(-1, n)[ladder.reshape(-1)] = (
-            v0.reshape(-1, n)[ladder.reshape(-1)]
-        )
-        ladder_converged = converged
-        for gmin in opts.gmin_steps:
-            ladder_converged, iters = _newton_inner(
-                assemble, v, n_nodes, opts, gmin, restrict=ladder
+        if ladder.any():
+            # gmin stepping for the samples the plain pass could not
+            # solve: heavily damped systems first, reusing each solution
+            # as the next initial guess.  Samples that already converged
+            # keep their plain Newton result and sit the ladder out —
+            # exactly what their standalone scalar solves would do — and
+            # every rung runs so the verdict comes from the final
+            # (lightest-damped) rung, never a damped rung's accuracy.
+            v0 = np.broadcast_to(np.asarray(v0, dtype=float), v.shape)
+            n = v.shape[-1]
+            v.reshape(-1, n)[ladder.reshape(-1)] = (
+                v0.reshape(-1, n)[ladder.reshape(-1)]
             )
-            total += iters
-        converged = converged | ladder_converged
+            ladder_converged = converged
+            for rung in opts.gmin_steps:
+                ladder_converged, iters = _newton_inner(
+                    assemble, v, n_nodes, opts, rung, restrict=ladder
+                )
+                total += iters
+                gmin = np.where(ladder, rung, gmin)
+            converged = converged | ladder_converged
         sp.set(iterations=int(total),
                converged=int(np.count_nonzero(converged)),
-               gmin_ladder=True)
-        if np.all(converged) or return_info:
-            return (v, NewtonInfo(converged, iters)) if return_info else v
+               gmin_ladder=bool(ladder.any()))
+    info = NewtonInfo(converged, iters, gmin)
+    if return_info:
+        return v, info
+    require_converged(info, opts)
+    return v
+
+
+def require_converged(info: NewtonInfo,
+                      options: Optional[NewtonOptions] = None) -> None:
+    """Raise :class:`ConvergenceError` unless every sample of *info*
+    converged — the verdict :func:`newton_solve` gives without
+    ``return_info``."""
+    if np.all(info.converged):
+        return
+    opts = options or NewtonOptions()
+    floor = opts.gmin_steps[-1] if opts.gmin_steps else opts.gmin
     raise ConvergenceError(
-        f"Newton failed to converge (gmin stepping down to "
-        f"gmin={opts.gmin_steps[-1]:g})"
+        f"Newton failed to converge (gmin stepping down to gmin={floor:g})"
     )
 
 

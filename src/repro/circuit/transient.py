@@ -15,7 +15,12 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.circuit.dcop import dc_operating_point
-from repro.circuit.mna import NewtonOptions, System, newton_solve
+from repro.circuit.mna import (
+    NewtonOptions,
+    System,
+    newton_solve,
+    require_converged,
+)
 from repro.circuit.netlist import Circuit
 
 
@@ -85,15 +90,15 @@ def transient(
         # Charge/companion histories live as one flat array per element
         # group; the stepping loop below is shared with the generic path.
         # The compiled Newton loop leaves branch currents alone; each
-        # accepted step's history update fills them by KCL.
+        # accepted step's history update fills them by KCL, with the gmin
+        # each sample converged at.
         q_hist = compiled.charge_state(v)
         i_hist = [np.zeros_like(q) for q in q_hist]
-        gmin = (options or NewtonOptions()).gmin
 
         def make_assemble(t_new, coeff, use_be):
             return compiled.assemble_transient(t_new, coeff, use_be, q_hist, i_hist)
 
-        def advance_history(v_new, t_new, coeff, use_be):
+        def advance_history(v_new, t_new, coeff, use_be, gmin):
             compiled.advance_history(v_new, t_new, coeff, use_be, q_hist,
                                      i_hist, gmin)
 
@@ -126,7 +131,7 @@ def transient(
 
             return assemble
 
-        def advance_history(v_new, t_new, coeff, use_be):
+        def advance_history(v_new, t_new, coeff, use_be, gmin):
             for k, element in enumerate(charge_elements):
                 q_new = np.array(element.charge_vector(v_new), dtype=float)
                 i_new = coeff * (q_new - q_hist[k])
@@ -143,10 +148,12 @@ def transient(
         use_be = method == "be" or step == 1
         coeff = (1.0 / dt) if use_be else (2.0 / dt)
 
-        v = newton_solve(
-            make_assemble(t_new, coeff, use_be), v, circuit.n_nodes, options
+        v, info = newton_solve(
+            make_assemble(t_new, coeff, use_be), v, circuit.n_nodes, options,
+            return_info=True,
         )
-        advance_history(v, t_new, coeff, use_be)
+        require_converged(info, options)
+        advance_history(v, t_new, coeff, use_be, info.gmin)
 
         if step % record_every == 0 or step == n_steps:
             recorded_times.append(t_new)

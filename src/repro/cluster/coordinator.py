@@ -69,7 +69,8 @@ from repro.cluster.wire import (
 from repro.obs import default_registry
 from repro.obs.trace import current_tracer, event, span
 from repro.runtime.executors import (
-    Executor, SerialExecutor, record_degradation, record_worker_timing,
+    _SHARDS, Executor, SerialExecutor, record_degradation,
+    record_worker_timing,
 )
 from repro.runtime.sharding import Shard
 
@@ -100,11 +101,6 @@ _STOLEN_C = _REGISTRY.counter(
 _DUPES_C = _REGISTRY.counter(
     "repro_cluster_duplicate_results_total",
     "Shard results suppressed by first-completion-wins",
-)
-#: The executors' shard counter: a cluster shard counts once, when its
-#: first result is applied.
-_SHARDS_C = _REGISTRY.counter(
-    "repro_shards_executed_total", "Shard tasks executed",
 )
 
 
@@ -827,7 +823,7 @@ class ClusterExecutor(Executor):
                               if l.status == "out"))
         elif was_void:
             lease.status = "done"
-        _SHARDS_C.inc(fresh)
+        _SHARDS.inc(fresh)  # each shard once, at its first result
         self._synthesize_spans(worker, lease, timing, fresh)
         state.accepted += 1
         self.faults.on_accept(state.accepted)

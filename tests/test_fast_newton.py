@@ -536,11 +536,12 @@ class TestPolarityMergedPlans:
         nf, npin = partition.free.size, partition.pinned.size
         block = nf * plan.n_nodes
         rng = np.random.default_rng(3)
-        for subset, rows in (("dc", nf), ("tran", nf), ("kcl", npin)):
+        iv = [("f_prog", 2, nf), ("j_prog", 6, block)]
+        charge = [("qf_prog", 3, nf), ("qj_prog", 9, block)]
+        for subset, programs in (("dc", iv), ("tran", iv + charge),
+                                 ("kcl", [("f_prog", 2, npin),
+                                          ("qf_prog", 3, npin)])):
             whole = getattr(merged, subset)
-            programs = [("f_prog", 2, rows), ("qf_prog", 3, rows)]
-            if subset != "kcl":
-                programs += [("j_prog", 6, block), ("qj_prog", 9, block)]
             n_sub = whole.members.size
             for prog, n_blocks, size in programs:
                 values = rng.standard_normal((4, n_blocks * n_sub))
