@@ -20,7 +20,10 @@ for decreasing curves).  The feasibility margin is monotone decreasing in
 ``a``, so the largest square is found by bisection; the lower-right lobe
 is the same problem with ``f`` and ``g`` exchanged.  Everything is
 vectorized over the Monte-Carlo batch: curves are sampled on a shared
-uniform sweep, so interpolation reduces to index arithmetic.
+uniform sweep, so interpolation reduces to index arithmetic.  Each curve
+is made C-contiguous and its segment slopes are taken once, so every
+bisection probe interpolates with one flat ``np.take`` into the curve
+and one into the slopes (the same ``hi - lo`` subtraction, done once).
 """
 
 from __future__ import annotations
@@ -28,30 +31,39 @@ from __future__ import annotations
 import numpy as np
 
 
-def _interp_uniform(values: np.ndarray, queries: np.ndarray, x0: float, dx: float):
+def _interp_uniform(values: np.ndarray, slopes: np.ndarray,
+                    columns: np.ndarray, queries: np.ndarray,
+                    x0: float, dx: float):
     """Linear interpolation of curves sampled on a uniform grid.
 
-    ``values`` has shape ``(S,) + batch`` (curve samples), ``queries``
+    ``values`` is the C-contiguous ``(S,) + batch`` curve samples and
+    ``slopes`` their C-contiguous segment differences ``np.diff(values,
+    axis=0)``; ``columns`` numbers the batch entries, shape ``batch``
+    (``np.arange(size).reshape(batch)``).  ``queries`` has shape
     ``(Q,) + batch`` (query points, already broadcast); clamps at the
-    grid ends.  Returns shape ``(Q,) + batch``.
+    grid ends.  Each query reads its segment's start and slope with one
+    flat ``np.take`` apiece.  Returns shape ``(Q,) + batch``.
     """
     n = values.shape[0]
     pos = (queries - x0) / dx
     idx = np.clip(np.floor(pos).astype(int), 0, n - 2)
     frac = np.clip(pos - idx, 0.0, 1.0)
-    lo = np.take_along_axis(values, idx, axis=0)
-    hi = np.take_along_axis(values, idx + 1, axis=0)
-    return lo + frac * (hi - lo)
+    flat = idx * columns.size + columns
+    return np.take(values, flat) + frac * np.take(slopes, flat)
 
 
 def _lobe_feasible(
-    f: np.ndarray, g: np.ndarray, side: np.ndarray, x0: float, dx: float
+    f: np.ndarray, f_slopes: np.ndarray, g: np.ndarray, columns: np.ndarray,
+    x0: float, dx: float, side: np.ndarray,
 ) -> np.ndarray:
-    """Does a square of (per-sample) *side* fit in the {y<=f, x>=g} lobe?"""
+    """Does a square of (per-sample) *side* fit in the {y<=f, x>=g} lobe?
+
+    *f_slopes* and *columns* are as :func:`_interp_uniform` takes them.
+    """
     # Left edge on curve g: candidate squares anchored at every sweep
     # sample y; upper-right corner must stay under curve f.
     x_query = g + side          # (S,) + batch
-    f_at = _interp_uniform(f, x_query, x0, dx)
+    f_at = _interp_uniform(f, f_slopes, columns, x_query, x0, dx)
     n = f.shape[0]
     y_grid = (x0 + dx * np.arange(n)).reshape((n,) + (1,) * (f.ndim - 1))
     margin = f_at - side - y_grid
@@ -99,17 +111,21 @@ def largest_square_snm(
         curve_a = curve_a[:, None]
         curve_b = curve_b[:, None]
     batch = curve_a.shape[1:]
+    curves = [np.ascontiguousarray(c) for c in (curve_a, curve_b)]
+    slopes = [np.diff(c, axis=0) for c in curves]
+    columns = np.arange(curves[0][0].size).reshape(batch)
 
     snm = np.empty((2,) + batch)
-    for lobe, (f, g) in enumerate(((curve_a, curve_b), (curve_b, curve_a))):
+    for lobe, (f, g) in enumerate(((0, 1), (1, 0))):
+        curve = (curves[f], slopes[f], curves[g], columns, x0, dx)
         lo = np.zeros(batch)
         hi = np.full(batch, span)
         # Samples with no lobe at all (curves crossed): SNM = 0.
-        feasible0 = _lobe_feasible(f, g, lo, x0, dx)
+        feasible0 = _lobe_feasible(*curve, lo)
         n_iter = int(np.ceil(np.log2(span / tolerance)))
         for _ in range(n_iter):
             mid = 0.5 * (lo + hi)
-            ok = _lobe_feasible(f, g, mid, x0, dx)
+            ok = _lobe_feasible(*curve, mid)
             lo = np.where(ok, mid, lo)
             hi = np.where(ok, hi, mid)
         snm[lobe] = np.where(feasible0, 0.5 * (lo + hi), 0.0)

@@ -260,7 +260,12 @@ class AC(_CircuitSpec):
 
 @dataclass(frozen=True)
 class DCSweep(_CircuitSpec):
-    """Warm-started sweep of one DC voltage source's level."""
+    """Warm-started sweep of one DC voltage source's level.
+
+    The payload (:class:`repro.circuit.dcsweep.SweepResult`) holds node
+    voltages only; a :class:`DCOp` at a level of interest gives the
+    source branch currents.
+    """
 
     source: str
     values: Tuple[float, ...]

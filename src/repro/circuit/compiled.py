@@ -40,19 +40,23 @@ twice (anything else raises :class:`UnsupportedCircuitError`).  The
 unknowns split once per structure into pinned nodes, their sources'
 branch currents and free nodes.  The Newton loop assembles, steps and
 tests the free-node rows only: the scatter programs stamp the free rows
-of the residual and the free rows × all nodes block of the Jacobian (its
-free and pinned columns are the step's ff and fp blocks).  A DC
+of the residual and the free rows × all nodes block of the Jacobian,
+whose columns are laid out free nodes first, then pinned nodes, so the
+step's ff and fp blocks are views of it.  (The residual's resistor
+matvec keeps node order: its sums are on the value path.)  A DC
 iteration leaves out of the iterated stacked device every MOSFET whose
 drain and source are both pinned or grounded (it stamps no free row); a
 transient iterates every member.
 :meth:`_FreeRowSystem.newton_step` takes the pinned-node steps from the
-source rows and solves the free block with one stacked
-``np.linalg.solve``; in exact arithmetic its node updates are those of
-the dense MNA step.  Branch currents do not move inside the loop: they
-come from KCL once per converged solution, at every pinned node, from all
-members, with the gmin term each sample's residual carried when it
-converged (:meth:`CompiledCircuit.set_branch_currents` after a DC solve,
-:meth:`CompiledCircuit.advance_history` at each accepted time step).
+source rows and solves the free block — one division when it is 1×1
+(the fig9 half-cell), one stacked ``np.linalg.solve`` otherwise; in
+exact arithmetic its node updates are those of the dense MNA step.
+Branch currents do not move inside the loop: they come from KCL once per
+converged solution, at every pinned node, from all members, with the
+gmin term each sample's residual carried when it converged
+(:meth:`CompiledCircuit.set_branch_currents` in ``dc_operating_point``,
+:meth:`CompiledCircuit.advance_history` at each accepted time step); a
+DC sweep reports node voltages only and skips them.
 
 Compilation is split in two (PR 9):
 
@@ -143,10 +147,12 @@ def record_fallback(error: UnsupportedCircuitError) -> None:
 class _FreeRowSystem:
     """One compiled Newton iteration's system: the free-node rows only.
 
-    ``jacobian`` is the free rows × all nodes block, flat
-    ``batch + (nf * n_nodes,)``, and ``residual`` the free rows
-    ``batch + (nf,)``, both before gmin conditioning; ``b_branch`` holds
-    each source's ``-V(t)`` in partition order.
+    ``jacobian`` is the free rows × all nodes block with its columns
+    laid out free nodes first, then pinned nodes (``_SourcePartition.
+    column``), flat ``batch + (nf * n_nodes,)``, so the step's ff and fp
+    blocks are views; ``residual`` is the free rows ``batch + (nf,)``.
+    Both are before gmin conditioning.  ``b_branch`` holds each
+    source's ``-V(t)`` in partition order.
     """
 
     __slots__ = ("jacobian", "residual", "b_branch", "partition")
@@ -158,44 +164,49 @@ class _FreeRowSystem:
         self.b_branch = b_branch
         self.partition = partition
 
-    def newton_step(self, v: np.ndarray, sel: np.ndarray, gmin: float,
-                    n_nodes: int):
+    def newton_step(self, v: np.ndarray, sel: Optional[np.ndarray],
+                    gmin: float, n_nodes: int):
         """Node updates ``dv`` of the samples *sel* solving ``J dv = -r``.
 
-        *v* is the flat ``(N, n)`` solution (protocol of
-        :meth:`repro.circuit.mna.System.newton_step`).  Only the
-        selected rows are gathered and gmin-conditioned (``+gmin`` on
-        the ff diagonal, ``+gmin * v`` on the free residual).  Pinned
-        nodes step straight from the source rows, ``dv_p = -sign *
-        (sign * v_p - V)``; the free nodes solve ``A_ff dv_f = -(r_f +
-        A_fp dv_p)`` with one stacked ``np.linalg.solve``.  Returns
-        ``(dv, solvable, residual)``: *dv* ``(k, n_nodes)`` over the
-        node unknowns (branch currents do not move), *solvable* as
-        :func:`repro.circuit.mna._solve_stacked` gives it, and the
-        gmin-conditioned free-row residual the convergence test reads.
+        *v* is the flat ``(N, n)`` solution and *sel* the active sample
+        indices, None for every sample (protocol of
+        :meth:`repro.circuit.mna.System.newton_step`).  A selection is
+        gathered by whole rows, once.  Pinned nodes step straight from
+        the source rows, ``dv_p = -sign * (sign * v_p - V)``; the free
+        nodes solve ``A_ff dv_f = -(r_f + A_fp dv_p)``, the ff block
+        conditioned with ``+gmin`` on its diagonal and the free residual
+        with ``+gmin * v`` (a 1×1 block divides, larger ones take one
+        stacked ``np.linalg.solve``; :func:`repro.circuit.mna.
+        _solve_stacked`).  The system itself is left as assembled.
+        Returns ``(dv, solvable, residual)``: *dv* ``(k, n_nodes)`` over
+        the node unknowns (branch currents do not move), *solvable* as
+        ``_solve_stacked`` gives it, and the gmin-conditioned free-row
+        residual the convergence test reads.
         """
         part = self.partition
         nf, npin = part.free.size, part.pinned.size
-        n_samples, k = v.shape[0], sel.size
-        rows = sel[:, None]
-        jac = self.jacobian.reshape(n_samples, nf * n_nodes)
-        residual = self.residual.reshape(n_samples, nf)[sel] + gmin * v[
-            rows, part.free
-        ]
+        n_samples = v.shape[0]
+        jac = self.jacobian.reshape(n_samples, nf, n_nodes)
+        res = self.residual.reshape(n_samples, nf)
         b_branch = self.b_branch
         if b_branch.ndim > 1:  # batched source levels
             b_branch = np.broadcast_to(
                 b_branch, self.residual.shape[:-1] + (npin,)
-            ).reshape(n_samples, npin)[sel]
-        dv_pinned = part.neg_sign * (part.sign * v[rows, part.pinned]
+            ).reshape(n_samples, npin)
+        if sel is not None:
+            v, jac, res = v[sel], jac[sel], res[sel]
+            if b_branch.ndim > 1:
+                b_branch = b_branch[sel]
+        k = v.shape[0]
+        residual = res + gmin * v[:, part.free]
+        dv_pinned = part.neg_sign * (part.sign * v[:, part.pinned]
                                      + b_branch)
         r_free = residual + np.matmul(
-            jac[rows, part.fp_idx].reshape(k, nf, npin),
-            dv_pinned[:, :, None],
+            jac[:, :, nf:], dv_pinned[:, :, None]
         )[:, :, 0]
-        a_ff = jac[rows, part.ff_idx]
-        a_ff[:, part.ff_diag] += gmin
-        dv_free, solvable = _solve_stacked(a_ff.reshape(k, nf, nf), r_free)
+        a_ff = jac[:, :, :nf].copy()
+        a_ff.reshape(k, nf * nf)[:, ::nf + 1] += gmin
+        dv_free, solvable = _solve_stacked(a_ff, r_free)
         dv = np.empty((k, n_nodes))
         dv[:, part.pinned] = dv_pinned
         dv[:, part.free] = dv_free
@@ -352,11 +363,13 @@ def _row_index(nodes: np.ndarray, row_map: np.ndarray) -> np.ndarray:
     return np.where(nodes >= 0, row_map[nodes], -1)
 
 
-def _block_index(rows: np.ndarray, cols: np.ndarray, n_nodes: int) -> np.ndarray:
-    """Flat row-major index into a rows × all nodes block; entries
-    without a row or in a ground column become -1 (dropped by the
-    scatter)."""
-    return np.where((rows >= 0) & (cols >= 0), rows * n_nodes + cols, -1)
+def _block_index(rows: np.ndarray, nodes: np.ndarray,
+                 column: np.ndarray) -> np.ndarray:
+    """Flat row-major index into a rows × all nodes block whose columns
+    *column* lays out; entries without a row or in a ground column
+    become -1 (dropped by the scatter)."""
+    return np.where((rows >= 0) & (nodes >= 0),
+                    rows * column.size + column[nodes], -1)
 
 
 #: Jacobian entries of one I-V stamp: (row terminal, column terminal)
@@ -368,8 +381,9 @@ _IV_ENTRIES = (("d", "g"), ("d", "d"), ("d", "s"),
 class _MemberStamps:
     """Scatter programs of one subset of a MOSFET group's members.
 
-    *members* are ascending positions along the group's device axis and
-    *row_map* maps each node to its target row (-1: none).  The programs
+    *members* are ascending positions along the group's device axis,
+    *row_map* maps each node to its target row (-1: none) and *column*
+    to its Jacobian column (``_SourcePartition.column``).  The programs
     take the subset's values in device-axis order and visit them
     subgroup by subgroup (all of one polarity's blocks, then the
     next's), so every target cell sums its terms in the order the
@@ -384,19 +398,18 @@ class _MemberStamps:
     """
 
     def __init__(self, terminals, bounds, members: np.ndarray,
-                 row_map: np.ndarray, n: int, programs):
+                 row_map: np.ndarray, column: np.ndarray, n: int, programs):
         self.members = members
         sub_bounds = np.searchsorted(members, bounds).tolist()
         nodes = dict(zip(_TERMS, (t[members] for t in terminals)))
         rows = {t: _row_index(nodes[t], row_map) for t in _TERMS}
         self.gather = tuple(_gather_index(nodes[t], n) for t in _TERMS)
-        n_nodes = row_map.size
         layouts = {
             "f_prog": [rows["d"], rows["s"]],
-            "j_prog": [_block_index(rows[r], nodes[c], n_nodes)
+            "j_prog": [_block_index(rows[r], nodes[c], column)
                        for r, c in _IV_ENTRIES],
             "qf_prog": [rows[t] for t in _TERMS],
-            "qj_prog": [_block_index(rows[ti], nodes[tj], n_nodes)
+            "qj_prog": [_block_index(rows[ti], nodes[tj], column)
                         for ti in _TERMS for tj in _TERMS],
         }
         for name in programs:
@@ -435,13 +448,15 @@ class _MosfetGroupStructure:
         )
         d, s = (_row_index(t, partition.free_row) >= 0 for t in terminals[1:])
         every = np.arange(len(members))
+        column = partition.column
         self.dc = _MemberStamps(terminals, bounds, np.flatnonzero(d | s),
-                                partition.free_row, n, ("f_prog", "j_prog"))
+                                partition.free_row, column, n,
+                                ("f_prog", "j_prog"))
         self.tran = _MemberStamps(terminals, bounds, every,
-                                  partition.free_row, n,
+                                  partition.free_row, column, n,
                                   ("f_prog", "j_prog", "qf_prog", "qj_prog"))
         self.kcl = _MemberStamps(terminals, bounds, every,
-                                 partition.pinned_row, n,
+                                 partition.pinned_row, column, n,
                                  ("f_prog", "qf_prog"))
 
 
@@ -516,7 +531,9 @@ class _SourcePartition:
     positive terminal, -1 when it is the negative one), and the pinned
     node's KCL row carries ``sign * i[branch]``.  The remaining nodes
     are free.  ``free_row`` and ``pinned_row`` give each node's row in
-    the free and the pinned row sets (-1 where it has none).  A floating
+    the free and the pinned row sets (-1 where it has none), and
+    ``column`` each node's column in the free-row Jacobian: the free
+    nodes first, then the pinned nodes in partition order.  A floating
     source, or a node pinned twice, raises
     :class:`UnsupportedCircuitError` (the generic path then solves the
     dense system).
@@ -558,12 +575,10 @@ class _SourcePartition:
         self.free_row[self.free] = np.arange(nf)
         self.pinned_row = np.full(n_nodes, -1, dtype=np.intp)
         self.pinned_row[self.pinned] = np.arange(self.pinned.size)
-        # Flat indices into a row-major (nf, n_nodes) free-row block.
-        rows = np.arange(nf)
-        self.ff_idx = (rows[:, None] * n_nodes + self.free[None, :]).ravel()
-        self.fp_idx = (rows[:, None] * n_nodes + self.pinned[None, :]).ravel()
-        #: The ff block's diagonal, flat.
-        self.ff_diag = rows * (nf + 1)
+        self.column = np.empty(n_nodes, dtype=np.intp)
+        self.column[np.concatenate([self.free, self.pinned])] = np.arange(
+            n_nodes
+        )
 
 
 def _mosfet_signature(model) -> tuple:
@@ -1005,11 +1020,11 @@ def _two_terminal_block(elements, values, n_nodes: int) -> np.ndarray:
 
 
 def _free_block(matrix: np.ndarray, part: _SourcePartition) -> np.ndarray:
-    """The free rows of a node×node *matrix*, flat row-major."""
-    block = matrix[..., part.free, :]
-    return np.ascontiguousarray(block).reshape(
-        block.shape[:-2] + (block.shape[-2] * block.shape[-1],)
-    )
+    """The free rows of a node×node *matrix* in the free-row Jacobian's
+    column layout, flat row-major."""
+    block = matrix[..., part.free, :][..., np.argsort(part.column)]
+    rows, cols = block.shape[-2:]
+    return block.reshape(block.shape[:-2] + (rows * cols,))
 
 
 def _linear(g: np.ndarray, v_nodes: np.ndarray) -> np.ndarray:

@@ -1,4 +1,10 @@
-"""DC operating-point analysis."""
+"""DC operating-point analysis.
+
+One DC point is a node solve (:func:`_solve_nodes`: Newton on the
+assembled system) and, on a compiled plan, the KCL that fills the
+source branch currents.  :func:`dc_operating_point` runs both;
+:func:`repro.circuit.dcsweep.dc_sweep` runs the node solve alone.
+"""
 
 from __future__ import annotations
 
@@ -65,6 +71,22 @@ def dc_operating_point(
     branch currents follow from KCL at the converged solution, with the
     gmin each sample converged at.
     """
+    v, compiled, gmin = _solve_nodes(circuit, v0, t, options)
+    if compiled is not None:
+        compiled.set_branch_currents(v, t, gmin)
+    return v
+
+
+def _solve_nodes(circuit: Circuit, v0: Optional[np.ndarray], t: float,
+                 options: Optional[NewtonOptions]):
+    """The Newton solve of one DC point: ``(v, compiled, gmin)``.
+
+    *v* is the converged unknown vector ``batch + (n,)``; on a compiled
+    plan (*compiled*, else None) its branch currents are still those of
+    *v0*, and *gmin* is what each sample converged at
+    (:attr:`NewtonInfo.gmin`), for the KCL that fills them.  Raises
+    :class:`ConvergenceError` unless every sample converged.
+    """
     compiled = circuit.compiled()
     if compiled is not None:
         assemble, n, batch = compiled.assemble_dc(t), compiled.n, compiled.batch
@@ -78,6 +100,4 @@ def dc_operating_point(
     v, info = newton_solve(assemble, v0, circuit.n_nodes, options,
                            return_info=True)
     require_converged(info, options)
-    if compiled is not None:
-        compiled.set_branch_currents(v, t, info.gmin)
-    return v
+    return v, compiled, info.gmin

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.delay import crossing_time
 from repro.analysis.setup_hold import bisect_min_passing
-from repro.analysis.snm import largest_square_snm
+from repro.analysis.snm import _interp_uniform, largest_square_snm
 
 
 class TestCrossingTime:
@@ -136,3 +137,59 @@ class TestSNM:
             largest_square_snm(s, np.zeros(9), np.zeros(10))
         with pytest.raises(ValueError):
             largest_square_snm(np.array([0.0, 0.1, 0.05]), np.zeros(3), np.zeros(3))
+
+
+def _take_along_axis_interp(values, queries, x0, dx):
+    """Uniform-grid interpolation in its ``take_along_axis`` form: the
+    reference for the flat gather."""
+    n = values.shape[0]
+    pos = (queries - x0) / dx
+    idx = np.clip(np.floor(pos).astype(int), 0, n - 2)
+    frac = np.clip(pos - idx, 0.0, 1.0)
+    lo = np.take_along_axis(values, idx, axis=0)
+    hi = np.take_along_axis(values, idx + 1, axis=0)
+    return lo + frac * (hi - lo)
+
+
+def _random_vtcs(rng, n_points, batch):
+    """Decreasing tanh VTCs over a 0.9 V sweep, gain and threshold per
+    sample."""
+    s = np.linspace(0.0, 0.9, n_points).reshape(
+        (n_points,) + (1,) * len(batch))
+    gain = rng.uniform(3.0, 25.0, batch)
+    vm = rng.uniform(0.3, 0.6, batch)
+    return s.reshape(-1), 0.45 * (1.0 - np.tanh(gain * (s - vm) / 0.9))
+
+
+class TestFlatGatherSNM:
+    @given(seed=st.integers(0, 2**32 - 1), n_points=st.integers(3, 64),
+           batch=st.sampled_from([(1,), (7,), (3, 5)]))
+    @settings(max_examples=60, deadline=None)
+    def test_flat_gather_equals_take_along_axis(self, seed, n_points, batch):
+        # Random monotone curves, queries past both grid ends included.
+        rng = np.random.default_rng(seed)
+        x0, dx = rng.uniform(-0.5, 0.5), rng.uniform(0.01, 0.1)
+        values = rng.uniform(0.0, 1.0, batch) - np.cumsum(
+            rng.uniform(0.0, 0.2, (n_points,) + batch), axis=0
+        )
+        span = dx * (n_points - 1)
+        queries = x0 + rng.uniform(-0.2 * span, 1.2 * span,
+                                   (n_points,) + batch)
+        columns = np.arange(int(np.prod(batch))).reshape(batch)
+        flat = _interp_uniform(values, np.diff(values, axis=0), columns,
+                               queries, x0, dx)
+        np.testing.assert_array_equal(
+            flat, _take_along_axis_interp(values, queries, x0, dx)
+        )
+
+    @pytest.mark.parametrize("batch", [(6,), (2, 3)])
+    def test_batch_equals_scalar_calls(self, batch):
+        rng = np.random.default_rng(11)
+        s, curve_a = _random_vtcs(rng, 61, batch)
+        _, curve_b = _random_vtcs(rng, 61, batch)
+        snm = largest_square_snm(s, curve_a, curve_b)
+        assert snm.shape == batch
+        for index in np.ndindex(*batch):
+            column = (slice(None),) + index
+            assert snm[index] == largest_square_snm(s, curve_a[column],
+                                                    curve_b[column])

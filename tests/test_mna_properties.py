@@ -5,7 +5,9 @@ Laplacian; networkx provides an independent construction.  Hypothesis
 drives random network topologies and values through both paths.  The
 compiled engine's grounded-source elimination is checked against the
 generic full-MNA solve and against a dense solve of the generic full
-MNA system; its branch currents close every pinned node's KCL.
+MNA system; its branch currents close every pinned node's KCL.  The
+Newton loop's column-wise tests, the row-subset step, the 1×1 division
+and the node-only DC sweep are pinned against their reference forms.
 """
 
 import networkx as nx
@@ -26,6 +28,7 @@ from repro.circuit import (
     Step,
     VoltageSource,
     dc_operating_point,
+    dc_sweep,
     transient,
 )
 from repro.circuit.compiled import CompiledCircuit
@@ -35,6 +38,7 @@ from repro.circuit.mna import (
     ConvergenceError,
     NewtonOptions,
     System,
+    _solve_stacked,
     newton_solve,
 )
 from repro.circuit.waveforms import Waveform
@@ -693,3 +697,176 @@ class TestSourceElimination:
             v[..., circuit["VD"].branch_index],
             -(device.ids(0.7, 0.5, 0.0) + DEFAULT_GMIN * 0.5), rtol=1e-14,
         )
+
+
+# ----------------------------------------------------------------------
+# The lean step and loop.
+# ----------------------------------------------------------------------
+class _Columnwise:
+    """``F_j(v) = scale * (v_j - roots_j)`` on the node unknowns: an
+    assemble closure (it returns itself) whose ``newton_step`` keeps
+    every update in its own column — a dense solve would spread one
+    non-finite entry across the whole row.  Unknowns past *n_nodes* are
+    not stepped."""
+
+    def __init__(self, roots, scale=1.0):
+        self.roots = np.asarray(roots, dtype=float)
+        self.scale = scale
+
+    def __call__(self, v):
+        return self
+
+    def newton_step(self, v, sel, gmin, n_nodes):
+        roots = self.roots.reshape(-1, n_nodes)
+        v = v[:, :n_nodes]
+        if sel is not None:
+            v, roots = v[sel], roots[sel]
+        res = self.scale * (v - roots) + gmin * v
+        return -res / (self.scale + gmin), None, res
+
+
+def _batched_dc_level(circuit, n_samples):
+    """Give the first DC voltage source one level per sample, so the
+    compiled step's source rows carry a batch axis."""
+    src = next(e for e in circuit.vsources() if isinstance(e.waveform, DC))
+    src.waveform.level = src.waveform.level * np.linspace(0.8, 1.0,
+                                                          n_samples)
+
+
+class TestLeanNewton:
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    def test_nonfinite_column_fails_only_its_sample(self, column):
+        # Sample 1's update is NaN in one node column only: the sample
+        # fails frozen at v0 (every gmin rung fails it again on its
+        # first step), and the others equal their standalone solves.
+        roots = np.array([[0.5, -1.0, 2.0], [0.25, 0.75, -0.5],
+                          [1.5, 1.0, 0.0]])
+        roots[1, column] = np.nan
+        v0 = np.full((3, 4), 0.1)
+        opts = NewtonOptions(vlimit=10.0)
+        v, info = newton_solve(_Columnwise(roots), v0, 3, opts,
+                               return_info=True)
+        assert list(info.converged) == [True, False, True]
+        np.testing.assert_array_equal(v[1], v0[1])
+        for k in (0, 2):
+            alone, alone_info = newton_solve(_Columnwise(roots[k]), v0[k], 3,
+                                             opts, return_info=True)
+            assert alone_info.converged
+            np.testing.assert_array_equal(v[k], alone)
+
+    def test_last_node_column_keeps_a_sample_iterating(self):
+        # Both samples start on their roots except sample 1's last node
+        # column, and the residual scale (1e-13) keeps every residual
+        # below itol: only that column's update holds sample 1 back.  It
+        # must walk the 0.9 V gap in clamped steps; the trailing
+        # (branch-like) unknown is never stepped.
+        roots = np.array([[0.2, 0.4, 0.6], [0.2, 0.4, 0.6]])
+        v0 = np.array([[0.2, 0.4, 0.6, 7.0], [0.2, 0.4, 1.5, 7.0]])
+        opts = NewtonOptions(gmin=0.0)
+        v, info = newton_solve(_Columnwise(roots, scale=1e-13), v0, 3, opts,
+                               return_info=True)
+        assert info.converged.all()
+        assert info.iterations >= 4
+        np.testing.assert_array_equal(v[0], v0[0])
+        assert abs(v[1, 2] - 0.6) < opts.vtol
+        np.testing.assert_array_equal(v[:, 3], 7.0)
+
+    @pytest.mark.parametrize("cell", sorted(CELLS))
+    def test_row_subset_step_equals_those_rows(self, technology, cell):
+        # One source level per sample, so the source rows are gathered
+        # too.  The all-samples step (sel None) must not condition the
+        # system in place: the subset step runs on the same system.
+        n_samples = 6
+        factory = MonteCarloDeviceFactory(technology, n_samples, seed=31)
+        circuit, _ = CELLS[cell](factory, technology.vdd)
+        _batched_dc_level(circuit, n_samples)
+        n, n_nodes = circuit.assign_branches(), circuit.n_nodes
+        v = np.random.default_rng(31).uniform(0.0, technology.vdd,
+                                              size=(n_samples, n))
+        sel = np.array([1, 4, 5])
+        systems = {
+            "compiled": circuit.compiled().assemble_dc(0.0)(v),
+            "generic": _generic_system(circuit, v),
+        }
+        for path, system in systems.items():
+            dv, solvable, res = system.newton_step(v, None, DEFAULT_GMIN,
+                                                   n_nodes)
+            dv_sel, solvable_sel, res_sel = system.newton_step(
+                v, sel, DEFAULT_GMIN, n_nodes
+            )
+            assert solvable is None and solvable_sel is None, path
+            np.testing.assert_array_equal(dv_sel, dv[sel], err_msg=path)
+            np.testing.assert_array_equal(res_sel, res[sel], err_msg=path)
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_one_by_one_division_matches_lapack(self, seed):
+        rng = np.random.default_rng(seed)
+        k = 64
+        jac = rng.standard_normal((k, 1, 1)) * 10.0 ** rng.uniform(
+            -12, 3, (k, 1, 1))
+        res = rng.standard_normal((k, 1)) * 10.0 ** rng.uniform(-15, 0, (k, 1))
+        dv, solvable = _solve_stacked(jac, res)
+        lapack = np.linalg.solve(jac, -res[..., None])[..., 0]
+        assert solvable is None
+        assert np.all(np.abs(dv - lapack) <= np.spacing(np.abs(lapack)))
+
+    def test_one_by_one_zero_pivot_is_unsolvable(self):
+        # An exact zero pivot is what makes LAPACK raise: those samples
+        # come back unsolvable with a zero update, as the per-sample
+        # fallback reports them; the rest divide.
+        rng = np.random.default_rng(5)
+        jac = rng.uniform(0.5, 2.0, (9, 1, 1))
+        jac[[2, 7]] = 0.0
+        res = rng.uniform(-1.0, 1.0, (9, 1))
+        dv, solvable = _solve_stacked(jac, res)
+        expected = np.zeros_like(res)
+        expected_ok = np.ones(9, dtype=bool)
+        for i in range(9):
+            try:
+                expected[i] = np.linalg.solve(jac[i], -res[i])
+            except np.linalg.LinAlgError:
+                expected_ok[i] = False
+        assert list(np.flatnonzero(~expected_ok)) == [2, 7]
+        np.testing.assert_array_equal(solvable, expected_ok)
+        assert np.all(np.abs(dv - expected) <= np.spacing(np.abs(expected)))
+        np.testing.assert_array_equal(dv[~expected_ok], 0.0)
+
+
+class TestNodeOnlySweep:
+    def test_compiled_sweep_reports_node_voltages_only(self, technology,
+                                                       monkeypatch):
+        # The fig9 half-cell: no per-point KCL, node voltages of shape
+        # (S,) + batch + (n_nodes,), each point bitwise the warm-started
+        # dc_operating_point loop's node voltages.
+        factory = MonteCarloDeviceFactory(technology, 3, seed=41)
+        circuit, hints = _sram_half(factory, technology.vdd)
+        assert circuit.compiled() is not None
+        v0 = initial_guess(circuit, hints)
+        values = np.linspace(0.0, technology.vdd, 7)
+        kcl_calls = []
+        kcl = CompiledCircuit.set_branch_currents
+
+        def counting_kcl(plan, *args):
+            kcl_calls.append(1)
+            return kcl(plan, *args)
+
+        monkeypatch.setattr(CompiledCircuit, "set_branch_currents",
+                            counting_kcl)
+        result = dc_sweep(circuit, "VFORCE", values, v0=v0)
+        monkeypatch.undo()
+        assert kcl_calls == []
+        n_nodes = circuit.n_nodes
+        assert result.voltages.shape == (values.size, 3, n_nodes)
+
+        waveform = circuit["VFORCE"].waveform
+        original = waveform.level
+        guess = v0
+        try:
+            for point, level in enumerate(values):
+                waveform.level = level
+                guess = dc_operating_point(circuit, v0=guess)
+                np.testing.assert_array_equal(result.voltages[point],
+                                              guess[..., :n_nodes])
+        finally:
+            waveform.level = original
