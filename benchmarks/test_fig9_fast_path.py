@@ -7,8 +7,7 @@ Times two layers of the fast path against their fallbacks:
   Monte-Carlo;
 * **analytic derivatives** — a device-level microbenchmark of
   ``ids_and_derivatives`` in analytic vs stacked finite-difference mode
-  on the fig9-shaped ``(400, 6)`` stacked-device batch, timed in
-  interleaved windows of each mode and compared by median rate.
+  on the fig9-shaped ``(400, 6)`` stacked-device batch.
 
 Both Monte-Carlo configurations are asserted bit-identical (the layers
 are constant-factor optimizations, never approximations), and the
@@ -18,7 +17,6 @@ ratios land in ``BENCH_fig9_fast_path.json``.
 from __future__ import annotations
 
 import json
-import statistics
 import time
 
 import numpy as np
@@ -44,15 +42,8 @@ def _timed_map(session, work, execution):
     return np.asarray(values), time.perf_counter() - start
 
 
-#: Interleaved timing windows per derivative mode, and each window's
-#: minimum length: one short window on a shared VM swings the ratio
-#: (1.84x, 0.94x and 2.07x on three runs of 40 calls, 15-35 ms).
-RATE_WINDOWS = 5
-WINDOW_S = 0.2
-
-
-def _stacked_device(derivatives: str):
-    """A fig9-shaped stacked device and one bias point for it."""
+def _device_eval_rate(derivatives: str, repeats: int = 40) -> float:
+    """Model evaluations/sec of one stacked fig9-shaped device batch."""
     rng = np.random.default_rng(7)
     card = vs_nmos_40nm(300.0, 40.0)
     vt0 = float(np.asarray(card.vt0)) + rng.normal(
@@ -62,34 +53,11 @@ def _stacked_device(derivatives: str):
     vg = rng.uniform(0.0, 0.9, size=(N_SAMPLES, N_DEVICES))
     vd = rng.uniform(0.05, 0.9, size=(N_SAMPLES, N_DEVICES))
     vs = np.zeros((N_SAMPLES, N_DEVICES))
-    return device, (vg, vd, vs)
-
-
-def _window_rate(device, bias) -> float:
-    """Evaluations/sec over one window of at least ``WINDOW_S``."""
-    calls = 0
+    device.ids_and_derivatives(vg, vd, vs)  # warm
     start = time.perf_counter()
-    while True:
-        device.ids_and_derivatives(*bias)
-        calls += 1
-        elapsed = time.perf_counter() - start
-        if elapsed >= WINDOW_S:
-            return calls / elapsed
-
-
-def _device_eval_rates() -> dict:
-    """Median model evaluations/sec of the stacked fig9-shaped device
-    batch per derivative mode, over ``RATE_WINDOWS`` interleaved
-    windows (analytic, FD, analytic, ...), so drift in host speed hits
-    both modes alike."""
-    modes = {mode: _stacked_device(mode) for mode in ("analytic", "fd")}
-    for device, bias in modes.values():
-        device.ids_and_derivatives(*bias)  # warm
-    rates = {mode: [] for mode in modes}
-    for _ in range(RATE_WINDOWS):
-        for mode, (device, bias) in modes.items():
-            rates[mode].append(_window_rate(device, bias))
-    return {mode: statistics.median(r) for mode, r in rates.items()}
+    for _ in range(repeats):
+        device.ids_and_derivatives(vg, vd, vs)
+    return repeats / (time.perf_counter() - start)
 
 
 def test_fig9_fast_path_layers(results_dir, record_report):
@@ -106,8 +74,8 @@ def test_fig9_fast_path_layers(results_dir, record_report):
     # The layer is exact: the fallback produces the same bits.
     np.testing.assert_array_equal(fast, uncoalesced)
 
-    rates = _device_eval_rates()
-    analytic_rate, fd_rate = rates["analytic"], rates["fd"]
+    analytic_rate = _device_eval_rate("analytic")
+    fd_rate = _device_eval_rate("fd")
 
     record = {
         "benchmark": "fig9 SRAM READ-SNM fast-path layer decomposition",
@@ -123,8 +91,6 @@ def test_fig9_fast_path_layers(results_dir, record_report):
             "fd": fd_rate,
         },
         "analytic_over_fd": analytic_rate / fd_rate,
-        "device_rate_windows": RATE_WINDOWS,
-        "device_rate_window_s": WINDOW_S,
         "all_layers_bit_identical": True,
     }
     (results_dir / "BENCH_fig9_fast_path.json").write_text(
@@ -140,14 +106,13 @@ def test_fig9_fast_path_layers(results_dir, record_report):
         f"({record['coalescing_speedup']:.2f}x layer gain)",
         f"analytic vs FD device gradients: "
         f"{record['analytic_over_fd']:.2f}x "
-        f"({analytic_rate:.0f} vs {fd_rate:.0f} stacked evals/s, medians "
-        f"of {RATE_WINDOWS} interleaved {WINDOW_S:g} s windows)",
+        f"({analytic_rate:.0f} vs {fd_rate:.0f} stacked evals/s)",
         "All configurations bit-identical.",
     ]
     record_report("fig9_fast_path", "\n".join(lines))
 
     # Layer acceptance: coalescing must be a clear win over per-shard
     # solving, and one analytic evaluation must clearly beat the four
-    # stacked evaluations of the finite-difference path (median rates).
+    # stacked evaluations of the finite-difference path.
     assert record["coalescing_speedup"] >= 1.5
     assert record["analytic_over_fd"] >= 1.8

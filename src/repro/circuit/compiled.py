@@ -48,9 +48,9 @@ iteration leaves out of the iterated stacked device every MOSFET whose
 drain and source are both pinned or grounded (it stamps no free row); a
 transient iterates every member.
 :meth:`_FreeRowSystem.newton_step` takes the pinned-node steps from the
-source rows and solves the free block — one division when it is 1×1
-(the fig9 half-cell), one stacked ``np.linalg.solve`` otherwise; in
-exact arithmetic its node updates are those of the dense MNA step.
+source rows and solves the free block with one stacked
+``np.linalg.solve``; in exact arithmetic its node updates are those of
+the dense MNA step.
 Branch currents do not move inside the loop: they come from KCL once per
 converged solution, at every pinned node, from all members, with the
 gmin term each sample's residual carried when it converged
@@ -164,19 +164,18 @@ class _FreeRowSystem:
         self.b_branch = b_branch
         self.partition = partition
 
-    def newton_step(self, v: np.ndarray, sel: Optional[np.ndarray],
-                    gmin: float, n_nodes: int):
+    def newton_step(self, v: np.ndarray, sel: np.ndarray, gmin: float,
+                    n_nodes: int):
         """Node updates ``dv`` of the samples *sel* solving ``J dv = -r``.
 
         *v* is the flat ``(N, n)`` solution and *sel* the active sample
-        indices, None for every sample (protocol of
-        :meth:`repro.circuit.mna.System.newton_step`).  A selection is
-        gathered by whole rows, once.  Pinned nodes step straight from
-        the source rows, ``dv_p = -sign * (sign * v_p - V)``; the free
-        nodes solve ``A_ff dv_f = -(r_f + A_fp dv_p)``, the ff block
-        conditioned with ``+gmin`` on its diagonal and the free residual
-        with ``+gmin * v`` (a 1×1 block divides, larger ones take one
-        stacked ``np.linalg.solve``; :func:`repro.circuit.mna.
+        indices (protocol of :meth:`repro.circuit.mna.System.
+        newton_step`); the selected rows are gathered whole, once.
+        Pinned nodes step straight from the source rows, ``dv_p = -sign
+        * (sign * v_p - V)``; the free nodes solve ``A_ff dv_f = -(r_f +
+        A_fp dv_p)``, the ff block conditioned with ``+gmin`` on its
+        diagonal and the free residual with ``+gmin * v``, in one
+        stacked ``np.linalg.solve`` (:func:`repro.circuit.mna.
         _solve_stacked`).  The system itself is left as assembled.
         Returns ``(dv, solvable, residual)``: *dv* ``(k, n_nodes)`` over
         the node unknowns (branch currents do not move), *solvable* as
@@ -185,20 +184,17 @@ class _FreeRowSystem:
         """
         part = self.partition
         nf, npin = part.free.size, part.pinned.size
-        n_samples = v.shape[0]
-        jac = self.jacobian.reshape(n_samples, nf, n_nodes)
-        res = self.residual.reshape(n_samples, nf)
+        n_samples, k = v.shape[0], sel.size
+        jac = self.jacobian.reshape(n_samples, nf, n_nodes)[sel]
+        v = v[sel]
+        residual = self.residual.reshape(n_samples, nf)[sel] + gmin * v[
+            :, part.free
+        ]
         b_branch = self.b_branch
         if b_branch.ndim > 1:  # batched source levels
             b_branch = np.broadcast_to(
                 b_branch, self.residual.shape[:-1] + (npin,)
-            ).reshape(n_samples, npin)
-        if sel is not None:
-            v, jac, res = v[sel], jac[sel], res[sel]
-            if b_branch.ndim > 1:
-                b_branch = b_branch[sel]
-        k = v.shape[0]
-        residual = res + gmin * v[:, part.free]
+            ).reshape(n_samples, npin)[sel]
         dv_pinned = part.neg_sign * (part.sign * v[:, part.pinned]
                                      + b_branch)
         r_free = residual + np.matmul(

@@ -7,13 +7,10 @@ residual over all unknowns and solves the dense system with one batched
 ``numpy.linalg.solve`` (the reference path).  The compiled engine
 (:mod:`repro.circuit.compiled`) assembles the free-node rows only, steps
 the node unknowns by exact elimination of the grounded sources and
-solves just the free-node block; its branch currents come from KCL once
-the solve has converged.  A stacked 1×1 system is solved by division,
-as LAPACK would solve it.  Per-sample convergence is tracked with a mask
-so finished samples stop moving while stragglers iterate — at no point
-does Python loop over Monte-Carlo samples.  While every sample is
-active the step gathers nothing and the update lands through a slice;
-the finiteness and convergence tests run column by column.
+factorizes just the free-node block; its branch currents come from KCL
+once the solve has converged.  Per-sample convergence is tracked with a
+mask so finished samples stop moving while stragglers iterate — at no
+point does Python loop over Monte-Carlo samples.
 """
 
 from __future__ import annotations
@@ -64,29 +61,24 @@ class System:
         if row >= 0 and col >= 0:
             self.jacobian[..., row, col] += value
 
-    def newton_step(self, v: np.ndarray, sel: Optional[np.ndarray],
-                    gmin: float, n_nodes: int):
+    def newton_step(self, v: np.ndarray, sel: np.ndarray, gmin: float,
+                    n_nodes: int):
         """Newton updates of the samples *sel*: ``J dv = -r``, dense.
 
         *v* is the flat ``(N, n)`` solution and *sel* the active sample
-        indices (None: every sample).  The selected rows are copied and
-        gmin-conditioned (``+gmin`` on the node diagonal, ``+gmin * v``
-        on the node residual rows) and solved together; the system
-        itself is left as assembled.  Returns ``(dv, solvable,
-        residual)``: *dv* ``(k, n)`` over every unknown, *solvable* as
+        indices.  The selected rows are gmin-conditioned (``+gmin`` on
+        the node diagonal, ``+gmin * v`` on the node residual rows) and
+        solved together.  Returns ``(dv, solvable, residual)``: *dv*
+        ``(k, n)`` over every unknown, *solvable* as
         :func:`_solve_stacked` gives it, and the conditioned node rows
         of the residual the convergence test reads.
         """
         n = self.n
-        jac = self.jacobian.reshape(-1, n, n)
-        res = self.residual.reshape(-1, n)
-        if sel is None:
-            jac, res = jac.copy(), res.copy()
-        else:
-            v, jac, res = v[sel], jac[sel], res[sel]
         node = np.arange(n_nodes)
+        jac = self.jacobian.reshape(-1, n, n)[sel]
         jac[:, node, node] += gmin
-        res[:, :n_nodes] += gmin * v[:, :n_nodes]
+        res = self.residual.reshape(-1, n)[sel]
+        res[:, :n_nodes] += gmin * v[sel, :n_nodes]
         dv, solvable = _solve_stacked(jac, res)
         return dv, solvable, res[:, :n_nodes]
 
@@ -135,11 +127,10 @@ def newton_solve(
         Callback building the system (Jacobian + residual) at a trial
         solution.  Must already include all element stamps.  The result
         may be any object with a ``newton_step(v, sel, gmin, n_nodes)``
-        that gmin-conditions and solves the selected samples (every
-        sample when *sel* is None) — see :meth:`System.newton_step`.
-        Its updates cover the leading unknowns it steps (all of them for
-        :class:`System`, the nodes for the compiled engine); the rest do
-        not move.
+        that gmin-conditions and solves the selected samples — see
+        :meth:`System.newton_step`.  Its updates cover the leading
+        unknowns it steps (all of them for :class:`System`, the nodes
+        for the compiled engine); the rest do not move.
     v0:
         Initial guess, shape ``batch + (n,)`` (modified copies are used,
         the input is untouched).
@@ -215,26 +206,13 @@ def require_converged(info: NewtonInfo,
 
 
 def _solve_stacked(jac: np.ndarray, res: np.ndarray):
-    """Newton updates ``jac dv = -res`` for a stacked ``(k, m, m)``
-    selection; isolates singular members.
+    """Newton updates for a stacked selection; isolates singular members.
 
     Returns ``(dv, solvable)``: rows of *dv* for unsolvable (singular)
-    systems are zero and flagged False in *solvable*, which is None when
-    every system solved.  A 1×1 system is one division, ``-res / jac``:
-    LAPACK's ``getrf``/``getrs`` divide by the pivot too, and an exact
-    zero pivot is reported unsolvable as its fallback reports it.
-    Larger systems take one batched ``np.linalg.solve``; only when that
-    throws does the per-sample fallback run to pin the offenders.
+    systems are zero and flagged False in *solvable*.  The common case
+    is one batched ``np.linalg.solve``; only when that throws does the
+    per-sample fallback run to pin the offenders.
     """
-    if jac.shape[-1] == 1:
-        pivot = jac[:, :, 0]
-        singular = pivot[:, 0] == 0.0
-        if not singular.any():
-            return -res / pivot, None
-        solvable = ~singular
-        dv = np.zeros_like(res)
-        dv[solvable] = -res[solvable] / pivot[solvable]
-        return dv, solvable
     try:
         return np.linalg.solve(jac, -res[..., None])[..., 0], None
     except np.linalg.LinAlgError:
@@ -263,18 +241,17 @@ def _newton_inner(
     *iterations* counts this loop's ``assemble`` calls.  Converged
     samples are frozen; only still-active samples enter the system's
     ``newton_step``, which gathers and gmin-conditions just those rows
-    (nothing is gathered while every sample is active: *sel* is None)
-    and solves them stacked (the dense ``(k, n, n)`` systems on the
-    generic path, the free-node block on the compiled path), so a
-    handful of stragglers no longer pays for the whole batch.  The step
-    returns the updates of the unknowns it steps and the conditioned
-    residual rows it owns; a sample fails when a system is singular or
-    an update non-finite, and converges when every update is below
-    ``vtol`` and every such residual below ``itol`` — on the compiled
-    path, the node updates and the free-node rows, so branch currents
-    and pinned rows do not hold a sample back.  Both tests run column by
-    column (a row reduction over a few columns is the slow direction);
-    for finite updates that is exactly the row-wise test.
+    and solves them in one stacked ``np.linalg.solve`` (the dense
+    ``(k, n, n)`` systems on the generic path, the free-node block on
+    the compiled path), so a handful of stragglers no longer pays for
+    the whole batch.  The step returns the updates of the unknowns it
+    steps and the conditioned residual rows it owns; a sample converges
+    when every update is below ``vtol`` and every such residual below
+    ``itol`` — on the compiled path, the node updates and the free-node
+    rows, so branch currents and pinned rows do not hold a sample back.
+    Both tests, and the finiteness test, go through
+    :func:`_every_column`, which gives the row-wise test's mask exactly
+    (column by column on a large batch, where that is the fast way).
 
     Assembly still evaluates the full batch — frozen samples' unknowns
     are unchanged, so their stamps are recomputed identically.
@@ -303,39 +280,47 @@ def _newton_inner(
         iteration += 1
         system = assemble(v)
         sel = np.flatnonzero(active)
-        if sel.size == n_batch:
-            sel = None
         dv, solvable, res = system.newton_step(vf, sel, gmin, n_nodes)
 
         keep = _every_column(np.isfinite, dv)
         if solvable is not None:
             keep &= solvable
         if not keep.all():
-            if sel is None:
-                sel = np.arange(n_batch)
             dropped = sel[~keep]
             failed[dropped] = True
             active[dropped] = False
             sel, dv, res = sel[keep], dv[keep], res[keep]
 
         np.clip(dv, -opts.vlimit, opts.vlimit, out=dv)
-        if sel is None:
-            vf[:, :dv.shape[-1]] += dv
-        else:
-            vf[sel, :dv.shape[-1]] += dv
+        vf[sel, :dv.shape[-1]] += dv
 
         done = _every_column(lambda col: np.abs(col) < opts.vtol, dv)
         done &= _every_column(lambda col: np.abs(col) < opts.itol, res)
-        active[done if sel is None else sel[done]] = False
+        active[sel[done]] = False
 
     converged = started & ~(active | failed)
     return converged.reshape(batch), iteration
 
 
+#: Rows per column from which :func:`_every_column` loops over columns:
+#: where one ufunc call per column (~2 µs) undercuts a row reduction
+#: over a few columns (~20-60 ns per row).
+_COLUMNWISE_ROWS_PER_COLUMN = 128
+
+
 def _every_column(test, a: np.ndarray) -> np.ndarray:
     """Per row of the 2-D *a*: does the elementwise *test* hold in every
-    column?  Evaluated column by column."""
-    ok = np.ones(a.shape[0], dtype=bool)
+    column?
+
+    A row reduction pays per row, so once rows far outnumber columns
+    (the fig9 batch: 2500 × 6) the test runs column by column instead;
+    a small batch or a wide system keeps the one reduction.  Both forms
+    give the same mask.
+    """
+    rows, cols = a.shape
+    if rows < _COLUMNWISE_ROWS_PER_COLUMN * cols:
+        return test(a).all(axis=-1)
+    ok = np.ones(rows, dtype=bool)
     for col in a.T:
         ok &= test(col)
     return ok

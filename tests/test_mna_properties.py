@@ -6,8 +6,8 @@ drives random network topologies and values through both paths.  The
 compiled engine's grounded-source elimination is checked against the
 generic full-MNA solve and against a dense solve of the generic full
 MNA system; its branch currents close every pinned node's KCL.  The
-Newton loop's column-wise tests, the row-subset step, the 1×1 division
-and the node-only DC sweep are pinned against their reference forms.
+Newton loop's column-wise tests, the row-subset step and the node-only
+DC sweep are pinned against their reference forms.
 """
 
 import networkx as nx
@@ -38,7 +38,8 @@ from repro.circuit.mna import (
     ConvergenceError,
     NewtonOptions,
     System,
-    _solve_stacked,
+    _COLUMNWISE_ROWS_PER_COLUMN,
+    _every_column,
     newton_solve,
 )
 from repro.circuit.waveforms import Waveform
@@ -717,10 +718,8 @@ class _Columnwise:
         return self
 
     def newton_step(self, v, sel, gmin, n_nodes):
-        roots = self.roots.reshape(-1, n_nodes)
-        v = v[:, :n_nodes]
-        if sel is not None:
-            v, roots = v[sel], roots[sel]
+        roots = self.roots.reshape(-1, n_nodes)[sel]
+        v = v[sel, :n_nodes]
         res = self.scale * (v - roots) + gmin * v
         return -res / (self.scale + gmin), None, res
 
@@ -733,49 +732,90 @@ def _batched_dc_level(circuit, n_samples):
                                                           n_samples)
 
 
+#: Batch copies that put the Newton loop's tests on each side of
+#: ``_every_column``'s shape choice: one row reduction for a few rows,
+#: one pass per column once rows far outnumber columns.
+COPIES = (1, 4 * _COLUMNWISE_ROWS_PER_COLUMN)
+
+
 class TestLeanNewton:
+    @pytest.mark.parametrize("copies", COPIES)
     @pytest.mark.parametrize("column", [0, 1, 2])
-    def test_nonfinite_column_fails_only_its_sample(self, column):
+    def test_nonfinite_column_fails_only_its_sample(self, column, copies):
         # Sample 1's update is NaN in one node column only: the sample
         # fails frozen at v0 (every gmin rung fails it again on its
         # first step), and the others equal their standalone solves.
         roots = np.array([[0.5, -1.0, 2.0], [0.25, 0.75, -0.5],
                           [1.5, 1.0, 0.0]])
         roots[1, column] = np.nan
-        v0 = np.full((3, 4), 0.1)
+        v0 = np.full((3 * copies, 4), 0.1)
         opts = NewtonOptions(vlimit=10.0)
-        v, info = newton_solve(_Columnwise(roots), v0, 3, opts,
-                               return_info=True)
-        assert list(info.converged) == [True, False, True]
-        np.testing.assert_array_equal(v[1], v0[1])
+        v, info = newton_solve(_Columnwise(np.tile(roots, (copies, 1))), v0,
+                               3, opts, return_info=True)
+        np.testing.assert_array_equal(info.converged,
+                                      np.tile([True, False, True], copies))
+        np.testing.assert_array_equal(v[1::3], v0[1::3])
         for k in (0, 2):
             alone, alone_info = newton_solve(_Columnwise(roots[k]), v0[k], 3,
                                              opts, return_info=True)
             assert alone_info.converged
-            np.testing.assert_array_equal(v[k], alone)
+            np.testing.assert_array_equal(v[k::3],
+                                          np.broadcast_to(alone, (copies, 4)))
 
-    def test_last_node_column_keeps_a_sample_iterating(self):
+    @pytest.mark.parametrize("copies", COPIES)
+    def test_last_node_column_keeps_a_sample_iterating(self, copies):
         # Both samples start on their roots except sample 1's last node
         # column, and the residual scale (1e-13) keeps every residual
         # below itol: only that column's update holds sample 1 back.  It
         # must walk the 0.9 V gap in clamped steps; the trailing
         # (branch-like) unknown is never stepped.
-        roots = np.array([[0.2, 0.4, 0.6], [0.2, 0.4, 0.6]])
-        v0 = np.array([[0.2, 0.4, 0.6, 7.0], [0.2, 0.4, 1.5, 7.0]])
+        roots = np.tile([[0.2, 0.4, 0.6], [0.2, 0.4, 0.6]], (copies, 1))
+        v0 = np.tile([[0.2, 0.4, 0.6, 7.0], [0.2, 0.4, 1.5, 7.0]],
+                     (copies, 1))
         opts = NewtonOptions(gmin=0.0)
         v, info = newton_solve(_Columnwise(roots, scale=1e-13), v0, 3, opts,
                                return_info=True)
         assert info.converged.all()
         assert info.iterations >= 4
-        np.testing.assert_array_equal(v[0], v0[0])
-        assert abs(v[1, 2] - 0.6) < opts.vtol
+        np.testing.assert_array_equal(v[0::2], v0[0::2])
+        assert np.all(np.abs(v[1::2, 2] - 0.6) < opts.vtol)
         np.testing.assert_array_equal(v[:, 3], 7.0)
+
+    @pytest.mark.parametrize("shape", [
+        (3, 4), (2, 30), (2, 1), (6 * _COLUMNWISE_ROWS_PER_COLUMN - 1, 6),
+        (6 * _COLUMNWISE_ROWS_PER_COLUMN, 6), (2500, 1),
+    ])
+    def test_every_column_is_the_row_test(self, shape):
+        # One failing entry per row at a random column, first and last
+        # columns included, on each side of the shape choice: the mask
+        # is the parent's row reduction's, for the finiteness and the
+        # tolerance tests alike.
+        rng = np.random.default_rng(shape[0] * 101 + shape[1])
+        rows, cols = shape
+        a = rng.uniform(-0.9e-7, 0.9e-7, shape)
+        hit = rng.random(rows) < 0.5
+        hit[:2] = True
+        where = rng.integers(0, cols, rows)
+        where[:2] = (0, cols - 1)
+        bad = np.zeros(shape, dtype=bool)
+        bad[np.flatnonzero(hit), where[hit]] = True
+        tolerance = np.where(bad, rng.choice([2e-7, -3e-7, np.nan], shape), a)
+        finite = np.where(bad, rng.choice([np.inf, -np.inf, np.nan], shape),
+                          a)
+        np.testing.assert_array_equal(
+            _every_column(lambda col: np.abs(col) < 1e-7, tolerance),
+            np.abs(tolerance).max(axis=-1) < 1e-7,
+        )
+        np.testing.assert_array_equal(_every_column(np.isfinite, finite),
+                                      np.isfinite(finite).all(axis=-1))
+        np.testing.assert_array_equal(_every_column(np.isfinite, finite),
+                                      ~hit)
 
     @pytest.mark.parametrize("cell", sorted(CELLS))
     def test_row_subset_step_equals_those_rows(self, technology, cell):
         # One source level per sample, so the source rows are gathered
-        # too.  The all-samples step (sel None) must not condition the
-        # system in place: the subset step runs on the same system.
+        # too.  The all-samples step must not condition the system in
+        # place: the subset step runs on the same system.
         n_samples = 6
         factory = MonteCarloDeviceFactory(technology, n_samples, seed=31)
         circuit, _ = CELLS[cell](factory, technology.vdd)
@@ -789,48 +829,15 @@ class TestLeanNewton:
             "generic": _generic_system(circuit, v),
         }
         for path, system in systems.items():
-            dv, solvable, res = system.newton_step(v, None, DEFAULT_GMIN,
-                                                   n_nodes)
+            dv, solvable, res = system.newton_step(
+                v, np.arange(n_samples), DEFAULT_GMIN, n_nodes
+            )
             dv_sel, solvable_sel, res_sel = system.newton_step(
                 v, sel, DEFAULT_GMIN, n_nodes
             )
             assert solvable is None and solvable_sel is None, path
             np.testing.assert_array_equal(dv_sel, dv[sel], err_msg=path)
             np.testing.assert_array_equal(res_sel, res[sel], err_msg=path)
-
-    @given(seed=st.integers(0, 2**32 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_one_by_one_division_matches_lapack(self, seed):
-        rng = np.random.default_rng(seed)
-        k = 64
-        jac = rng.standard_normal((k, 1, 1)) * 10.0 ** rng.uniform(
-            -12, 3, (k, 1, 1))
-        res = rng.standard_normal((k, 1)) * 10.0 ** rng.uniform(-15, 0, (k, 1))
-        dv, solvable = _solve_stacked(jac, res)
-        lapack = np.linalg.solve(jac, -res[..., None])[..., 0]
-        assert solvable is None
-        assert np.all(np.abs(dv - lapack) <= np.spacing(np.abs(lapack)))
-
-    def test_one_by_one_zero_pivot_is_unsolvable(self):
-        # An exact zero pivot is what makes LAPACK raise: those samples
-        # come back unsolvable with a zero update, as the per-sample
-        # fallback reports them; the rest divide.
-        rng = np.random.default_rng(5)
-        jac = rng.uniform(0.5, 2.0, (9, 1, 1))
-        jac[[2, 7]] = 0.0
-        res = rng.uniform(-1.0, 1.0, (9, 1))
-        dv, solvable = _solve_stacked(jac, res)
-        expected = np.zeros_like(res)
-        expected_ok = np.ones(9, dtype=bool)
-        for i in range(9):
-            try:
-                expected[i] = np.linalg.solve(jac[i], -res[i])
-            except np.linalg.LinAlgError:
-                expected_ok[i] = False
-        assert list(np.flatnonzero(~expected_ok)) == [2, 7]
-        np.testing.assert_array_equal(solvable, expected_ok)
-        assert np.all(np.abs(dv - expected) <= np.spacing(np.abs(expected)))
-        np.testing.assert_array_equal(dv[~expected_ok], 0.0)
 
 
 class TestNodeOnlySweep:
