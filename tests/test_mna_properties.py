@@ -781,6 +781,23 @@ class TestLeanNewton:
         assert np.all(np.abs(v[1::2, 2] - 0.6) < opts.vtol)
         np.testing.assert_array_equal(v[:, 3], 7.0)
 
+    @pytest.mark.parametrize("copies", COPIES)
+    def test_residual_above_itol_keeps_a_sample_iterating(self, copies):
+        # Sample 1 starts 1e-8 V off its root in the last node column:
+        # below vtol, but its residual there (scale 0.01: 1e-10) is above
+        # itol, so it takes a second step.  Sample 0 starts on its roots
+        # and stops after the first.
+        roots = np.tile([0.2, 0.4, 0.6], (2 * copies, 1))
+        v0 = np.tile([[0.2, 0.4, 0.6, 7.0], [0.2, 0.4, 0.6 + 1e-8, 7.0]],
+                     (copies, 1))
+        opts = NewtonOptions(gmin=0.0)
+        v, info = newton_solve(_Columnwise(roots, scale=1e-2), v0, 3, opts,
+                               return_info=True)
+        assert info.converged.all()
+        assert info.iterations == 2
+        np.testing.assert_array_equal(v[0::2], v0[0::2])
+        assert np.all(np.abs(v[1::2, 2] - 0.6) < 1e-15)
+
     @pytest.mark.parametrize("shape", [
         (3, 4), (2, 30), (2, 1), (6 * _COLUMNWISE_ROWS_PER_COLUMN - 1, 6),
         (6 * _COLUMNWISE_ROWS_PER_COLUMN, 6), (2500, 1),
