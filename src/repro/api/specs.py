@@ -17,6 +17,7 @@ session's characterized technology directly.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Dict, Optional, Tuple, Union
 
@@ -260,11 +261,14 @@ class AC(_CircuitSpec):
 
 @dataclass(frozen=True)
 class DCSweep(_CircuitSpec):
-    """Warm-started sweep of one DC voltage source's level.
+    """Secant-predicted sweep of one DC voltage source's level.
 
-    The payload (:class:`repro.circuit.dcsweep.SweepResult`) holds node
-    voltages only; a :class:`DCOp` at a level of interest gives the
-    source branch currents.
+    Each point starts from the secant extrapolation of the two before it
+    (:func:`repro.circuit.dcsweep.dc_sweep`), so its node voltages sit
+    within the Newton tolerance of a zero-order (previous-solution)
+    start's.  The payload (:class:`repro.circuit.dcsweep.SweepResult`)
+    holds node voltages only; a :class:`DCOp` at a level of interest
+    gives the source branch currents.
     """
 
     source: str
@@ -277,6 +281,8 @@ class DCSweep(_CircuitSpec):
             raise ValueError("source name must be non-empty")
         if not self.values:
             raise ValueError("values must be non-empty")
+        if not all(math.isfinite(v) for v in self.values):
+            raise ValueError("sweep levels must be finite")
 
 
 @dataclass(frozen=True)

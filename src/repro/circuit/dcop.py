@@ -71,23 +71,25 @@ def dc_operating_point(
     branch currents follow from KCL at the converged solution, with the
     gmin each sample converged at.
     """
-    v, compiled, gmin = _solve_nodes(circuit, v0, t, options)
+    compiled = circuit.compiled()
+    v, gmin = _solve_nodes(circuit, compiled, v0, t, options)
     if compiled is not None:
         compiled.set_branch_currents(v, t, gmin)
     return v
 
 
-def _solve_nodes(circuit: Circuit, v0: Optional[np.ndarray], t: float,
-                 options: Optional[NewtonOptions]):
-    """The Newton solve of one DC point: ``(v, compiled, gmin)``.
+def _solve_nodes(circuit: Circuit, compiled, v0: Optional[np.ndarray],
+                 t: float, options: Optional[NewtonOptions]):
+    """The Newton solve of one DC point: ``(v, gmin)``.
 
-    *v* is the converged unknown vector ``batch + (n,)``; on a compiled
-    plan (*compiled*, else None) its branch currents are still those of
-    *v0*, and *gmin* is what each sample converged at
+    *compiled* is the plan the caller resolved (``circuit.compiled()``;
+    None runs the generic assembly), so a sweep looks it up once rather
+    than once per point.  *v* is the converged unknown vector
+    ``batch + (n,)``; on a compiled plan its branch currents are still
+    those of *v0*, and *gmin* is what each sample converged at
     (:attr:`NewtonInfo.gmin`), for the KCL that fills them.  Raises
     :class:`ConvergenceError` unless every sample converged.
     """
-    compiled = circuit.compiled()
     if compiled is not None:
         assemble, n, batch = compiled.assemble_dc(t), compiled.n, compiled.batch
     else:
@@ -100,4 +102,4 @@ def _solve_nodes(circuit: Circuit, v0: Optional[np.ndarray], t: float,
     v, info = newton_solve(assemble, v0, circuit.n_nodes, options,
                            return_info=True)
     require_converged(info, options)
-    return v, compiled, info.gmin
+    return v, info.gmin

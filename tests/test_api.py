@@ -97,6 +97,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             DCSweep(source="VF", values=())
 
+    @pytest.mark.parametrize("values", [(0.0, float("nan")),
+                                        (0.0, float("inf"), 0.2),
+                                        (float("-inf"),)])
+    def test_dcsweep_rejects_non_finite_levels(self, values):
+        with pytest.raises(ValueError, match="finite"):
+            DCSweep(source="VFORCE", values=values)
+
     def test_montecarlo_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             MonteCarlo(n_samples=0)

@@ -1,5 +1,7 @@
 """DC analyses of the MNA engine: linear sanity, nonlinear devices, sweeps."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,9 @@ from repro.circuit import (
     dc_operating_point,
     dc_sweep,
 )
+from repro.circuit import dcop
 from repro.circuit.dcop import initial_guess
-from repro.circuit.mna import ConvergenceError, NewtonOptions
+from repro.circuit.mna import DEFAULT_VLIMIT, ConvergenceError, NewtonOptions
 from repro.data.cards import vs_nmos_40nm, vs_pmos_40nm
 from repro.devices.vs.model import VSDevice
 
@@ -153,3 +156,155 @@ class TestDCSweep:
         ckt = build_vs_inverter(0.0)
         with pytest.raises(ValueError):
             dc_sweep(ckt, "VIN", [])
+
+    @pytest.mark.parametrize("values", [[0.0, np.nan, 0.2], [0.0, np.inf],
+                                        [-np.inf, 0.3]])
+    def test_sweep_rejects_non_finite_levels(self, values, monkeypatch):
+        # Rejected before any point is solved: a NaN level would run the
+        # plain pass and every gmin rung into a ConvergenceError, and
+        # would poison the next point's predicted start.
+        solves = _record_solves(monkeypatch)
+        ckt = build_vs_inverter(0.0)
+        with pytest.raises(ValueError, match="finite"):
+            dc_sweep(ckt, "VIN", values)
+        assert solves == []
+        assert ckt["VIN"].waveform.level == 0.0
+
+
+#: Per-sample NMOS thresholds of the batched inverter [V].
+INVERTER_VT0 = np.array([0.38, 0.42, 0.47])
+#: Level fractions of VDD: non-uniform steps, turning points included.
+NON_UNIFORM = [0.0, 0.1, 0.15, 0.35, 0.4, 0.6, 1.0, 0.7, 0.3]
+
+
+def _record_solves(monkeypatch):
+    """Record every DC point's Newton start and solution, ``[(v0, v)]``."""
+    solves = []
+    newton_solve = dcop.newton_solve
+
+    def recording(assemble, v0, *args, **kwargs):
+        out = newton_solve(assemble, v0, *args, **kwargs)
+        solves.append((np.array(v0), np.array(out[0])))
+        return out
+
+    monkeypatch.setattr(dcop, "newton_solve", recording)
+    return solves
+
+
+def _vtc(vt0, values, backend="auto", options=None):
+    """Inverter transfer curve over *values* of VIN, from the output-high
+    hint."""
+    ckt = build_vs_inverter(0.0, batch_vt0=vt0)
+    ckt.set_backend(backend)
+    v0 = initial_guess(ckt, {"vdd": VDD, "out": VDD})
+    return dc_sweep(ckt, "VIN", values, v0=v0, options=options), ckt, v0
+
+
+def _secant_start(values, k, solves, n_nodes):
+    """Point *k*'s start (k >= 2) by the sweep's contract: the last
+    solution with its node voltages moved by the clamped secant step,
+    or the last solution itself after a zero level step."""
+    x, x_prev = solves[k - 1][1], solves[k - 2][1]
+    if values[k - 1] == values[k - 2]:
+        return x
+    ratio = (values[k] - values[k - 1]) / (values[k - 1] - values[k - 2])
+    start = x.copy()
+    nodes, nodes_prev = x[..., :n_nodes], x_prev[..., :n_nodes]
+    start[..., :n_nodes] = nodes + np.clip(ratio * (nodes - nodes_prev),
+                                           -DEFAULT_VLIMIT, DEFAULT_VLIMIT)
+    return start
+
+
+class TestSecantPrediction:
+    """Each sweep point starts Newton from the secant prediction of its
+    node voltages, checked on the starts the point's solve receives."""
+
+    @pytest.mark.parametrize("backend", ["compiled", "generic"])
+    def test_first_two_points_start_zero_order(self, monkeypatch, backend):
+        solves = _record_solves(monkeypatch)
+        values = VDD * np.array(NON_UNIFORM)
+        result, ckt, v0 = _vtc(INVERTER_VT0, values, backend)
+        assert len(solves) == values.size
+        np.testing.assert_array_equal(solves[0][0],
+                                      np.broadcast_to(v0, solves[0][0].shape))
+        np.testing.assert_array_equal(solves[1][0], solves[0][1])
+        np.testing.assert_array_equal(
+            result.voltages, np.stack([v for _, v in solves])[..., :ckt.n_nodes]
+        )
+
+    @pytest.mark.parametrize("fractions", [
+        NON_UNIFORM,
+        [1.0, 0.9, 0.6, 0.5, 0.45, 0.2, 0.0],
+        [0.0, 0.2, 0.5, 0.7, 0.45, 0.3, 0.1],
+        list(np.linspace(1.0, 0.0, 7)),
+    ], ids=["non-uniform", "descending", "up-then-down", "uniform-descending"])
+    @pytest.mark.parametrize("backend", ["compiled", "generic"])
+    def test_points_start_from_the_step_ratio(self, monkeypatch, fractions,
+                                              backend):
+        solves = _record_solves(monkeypatch)
+        values = VDD * np.array(fractions)
+        _, ckt, _ = _vtc(INVERTER_VT0, values, backend)
+        for k in range(2, values.size):
+            np.testing.assert_array_equal(
+                solves[k][0], _secant_start(values, k, solves, ckt.n_nodes),
+                err_msg=f"point {k}",
+            )
+
+    @pytest.mark.parametrize("values, fallback", [
+        ([0.0, 0.27, 0.54, 0.54, 0.27, 0.0], 4),
+        ([0.0, 5e-324, 0.45, 0.63], 2),
+    ], ids=["repeated-turning-level", "overflowing-ratio"])
+    def test_zero_order_fallback(self, monkeypatch, values, fallback):
+        # After a repeated level the step ratio would divide by zero, and
+        # after a subnormal step it overflows: that point starts from the
+        # previous solution, with no warning, and the next one predicts.
+        solves = _record_solves(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, ckt, _ = _vtc(INVERTER_VT0, values)
+        np.testing.assert_array_equal(solves[fallback][0],
+                                      solves[fallback - 1][1])
+        np.testing.assert_array_equal(
+            solves[fallback + 1][0],
+            _secant_start(values, fallback + 1, solves, ckt.n_nodes),
+        )
+
+    @pytest.mark.parametrize("vlimit", [None, 0.05])
+    def test_clamp_binds_at_vlimit(self, monkeypatch, vlimit):
+        # A coarse 5-point VTC: across the switching region the output's
+        # secant step exceeds the clamp (NewtonOptions.vlimit, its
+        # default without options), and the start moves by exactly it.
+        solves = _record_solves(monkeypatch)
+        options = None if vlimit is None else NewtonOptions(vlimit=vlimit)
+        limit = DEFAULT_VLIMIT if vlimit is None else vlimit
+        values = np.linspace(0.0, VDD, 5)
+        _, ckt, _ = _vtc(INVERTER_VT0, values, options=options)
+        out = ckt.index_of("out")
+        bound = 0
+        for k in range(2, values.size):
+            x, x_prev = solves[k - 1][1][..., out], solves[k - 2][1][..., out]
+            ratio = (values[k] - values[k - 1]) / (values[k - 1] - values[k - 2])
+            secant = ratio * (x - x_prev)
+            binds = np.abs(secant) > limit
+            np.testing.assert_array_equal(
+                solves[k][0][..., out][binds],
+                (x + np.copysign(limit, secant))[binds],
+            )
+            bound += np.count_nonzero(binds)
+        assert bound > 0
+
+    @pytest.mark.parametrize("backend", ["compiled", "generic"])
+    def test_batched_sweep_equals_scalar_sweeps(self, monkeypatch, backend):
+        # Each sample's start depends on its own solutions only.
+        solves = _record_solves(monkeypatch)
+        values = VDD * np.array(NON_UNIFORM)
+        batched, _, _ = _vtc(INVERTER_VT0, values, backend)
+        starts = [start for start, _ in solves]
+        for k, vt0 in enumerate(INVERTER_VT0):
+            solves.clear()
+            scalar, _, _ = _vtc(float(vt0), values, backend)
+            np.testing.assert_array_equal(batched.voltages[:, k],
+                                          scalar.voltages)
+            for point, (start, (alone, _)) in enumerate(zip(starts, solves)):
+                np.testing.assert_array_equal(start[k], alone,
+                                              err_msg=f"point {point}")

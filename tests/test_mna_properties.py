@@ -6,8 +6,8 @@ drives random network topologies and values through both paths.  The
 compiled engine's grounded-source elimination is checked against the
 generic full-MNA solve and against a dense solve of the generic full
 MNA system; its branch currents close every pinned node's KCL.  The
-Newton loop's column-wise tests, the row-subset step and the node-only
-DC sweep are pinned against their reference forms.
+Newton loop's column-wise tests, the row-subset step and the node-only,
+secant-predicted DC sweep are pinned against their reference forms.
 """
 
 import networkx as nx
@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.api.plans import PlanCache
 from repro.cells.dff import DFFSpec, build_dff
 from repro.cells.factory import MonteCarloDeviceFactory
 from repro.cells.inverter import InverterSpec, build_inverter_fo
@@ -35,6 +36,7 @@ from repro.circuit.compiled import CompiledCircuit
 from repro.circuit.dcop import initial_guess
 from repro.circuit.mna import (
     DEFAULT_GMIN,
+    DEFAULT_VLIMIT,
     ConvergenceError,
     NewtonOptions,
     System,
@@ -857,12 +859,51 @@ class TestLeanNewton:
             np.testing.assert_array_equal(res_sel, res[sel], err_msg=path)
 
 
+def _reference_sweep(circuit, source, values, v0, predict):
+    """``dc_operating_point`` at each level of *source*, started from the
+    previous solution or, with *predict*, from that solution with its
+    node voltages moved by the secant step (``r * (x[k-1] - x[k-2])``,
+    ``r`` the ratio of the level steps, clamped at the default vlimit).
+    Returns the node voltages ``(S,) + batch + (n_nodes,)``."""
+    n_nodes = circuit.n_nodes
+    waveform = circuit[source].waveform
+    original = waveform.level
+    solutions = []
+    guess = v0
+    try:
+        for k, level in enumerate(values):
+            waveform.level = level
+            if predict and k >= 2 and values[k - 1] != values[k - 2]:
+                ratio = ((values[k] - values[k - 1])
+                         / (values[k - 1] - values[k - 2]))
+                x, x_prev = solutions[-1], solutions[-2]
+                guess = guess.copy()
+                guess[..., :n_nodes] = x + np.clip(
+                    ratio * (x - x_prev), -DEFAULT_VLIMIT, DEFAULT_VLIMIT)
+            guess = dc_operating_point(circuit, v0=guess)
+            solutions.append(guess[..., :n_nodes])
+    finally:
+        waveform.level = original
+    return np.stack(solutions)
+
+
+def _newton_iterations(run):
+    """Newton iterations *run* spends: every ``newton.solve`` span's
+    count (plain pass and gmin rungs)."""
+    tracer = Tracer()
+    with activate(tracer):
+        run()
+    return sum(record["args"]["iterations"] for record in tracer.records
+               if record["name"] == "newton.solve")
+
+
 class TestNodeOnlySweep:
     def test_compiled_sweep_reports_node_voltages_only(self, technology,
                                                        monkeypatch):
         # The fig9 half-cell: no per-point KCL, node voltages of shape
-        # (S,) + batch + (n_nodes,), each point bitwise the warm-started
-        # dc_operating_point loop's node voltages.
+        # (S,) + batch + (n_nodes,), each point bitwise the node voltages
+        # of a dc_operating_point loop started from the same secant
+        # predictions, and within 1e-12 V of the zero-order loop's.
         factory = MonteCarloDeviceFactory(technology, 3, seed=41)
         circuit, hints = _sram_half(factory, technology.vdd)
         assert circuit.compiled() is not None
@@ -883,14 +924,64 @@ class TestNodeOnlySweep:
         n_nodes = circuit.n_nodes
         assert result.voltages.shape == (values.size, 3, n_nodes)
 
-        waveform = circuit["VFORCE"].waveform
-        original = waveform.level
-        guess = v0
-        try:
-            for point, level in enumerate(values):
-                waveform.level = level
-                guess = dc_operating_point(circuit, v0=guess)
-                np.testing.assert_array_equal(result.voltages[point],
-                                              guess[..., :n_nodes])
-        finally:
-            waveform.level = original
+        predicted = _reference_sweep(circuit, "VFORCE", values, v0, True)
+        np.testing.assert_array_equal(result.voltages, predicted)
+        zero_order = _reference_sweep(circuit, "VFORCE", values, v0, False)
+        assert np.abs(result.voltages - zero_order).max() <= 1e-12
+
+    def test_fig9_sweep_spends_fewer_iterations(self, technology):
+        # The fig9 read half-cell's 61-point butterfly sweep: predicting
+        # each point's start saves Newton iterations over the zero-order
+        # loop.
+        factory = MonteCarloDeviceFactory(technology, 4, seed=43)
+        circuit, hints = _sram_half(factory, technology.vdd)
+        v0 = initial_guess(circuit, hints)
+        values = np.linspace(0.0, technology.vdd, 61)
+        predicted = _newton_iterations(
+            lambda: dc_sweep(circuit, "VFORCE", values, v0=v0))
+        zero_order = _newton_iterations(
+            lambda: _reference_sweep(circuit, "VFORCE", values, v0, False))
+        assert predicted < zero_order
+
+    @pytest.mark.parametrize("descending", [False, True])
+    @pytest.mark.parametrize("backend", ["compiled", "generic"])
+    def test_coarse_vtc_spends_no_more_iterations(self, technology, backend,
+                                                  descending):
+        # A 5-point inverter VTC: across the switching region the secant
+        # step overshoots, and the clamp keeps the predicted sweep from
+        # costing more than the zero-order loop.
+        factory = MonteCarloDeviceFactory(technology, 3, seed=52)
+        circuit, hints = build_inverter_fo(factory, InverterSpec(),
+                                           technology.vdd)
+        circuit.set_backend(backend)
+        values = np.linspace(0.0, technology.vdd, 5)
+        if descending:
+            values = values[::-1]
+        v0 = initial_guess(circuit, hints)
+        predicted = _newton_iterations(
+            lambda: dc_sweep(circuit, "VIN", values, v0=v0))
+        zero_order = _newton_iterations(
+            lambda: _reference_sweep(circuit, "VIN", values, v0, False))
+        assert predicted <= zero_order
+
+    def test_one_plan_lookup_per_sweep(self, technology, monkeypatch):
+        # The sweep resolves its compiled plan once, not once per point;
+        # a dc_operating_point resolves it once per call.
+        lookups = []
+        plan_for = PlanCache.plan_for
+
+        def counting_plan_for(cache, circuit):
+            lookups.append(1)
+            return plan_for(cache, circuit)
+
+        monkeypatch.setattr(PlanCache, "plan_for", counting_plan_for)
+        factory = MonteCarloDeviceFactory(technology, 2, seed=47)
+        circuit, hints = _sram_half(factory, technology.vdd)
+        circuit.plan_cache = PlanCache()
+        v0 = initial_guess(circuit, hints)
+        for _ in range(2):
+            dc_sweep(circuit, "VFORCE", np.linspace(0.0, technology.vdd, 9),
+                     v0=v0)
+        assert len(lookups) == 2
+        dc_operating_point(circuit, v0=v0)
+        assert len(lookups) == 3
