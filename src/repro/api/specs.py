@@ -220,6 +220,9 @@ class Transient(_CircuitSpec):
 
     def __post_init__(self):
         super().__post_init__()
+        if not all(math.isfinite(x)
+                   for x in (self.t_start, self.t_stop, self.dt)):
+            raise ValueError("t_start, t_stop and dt must be finite")
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
         if self.t_stop <= self.t_start:

@@ -21,11 +21,16 @@ the netlist once:
   group.  One model evaluation per Newton iteration computes every
   iterated transistor across every Monte-Carlo sample (a transient
   iteration takes its currents, conductances, charges and capacitances
-  from that one evaluation); the results are scattered into the
-  Jacobian/residual with precomputed duplicate-free scatter rounds that
-  replay ``np.add.at`` on coincident entries bit for bit.  The rounds
-  visit one polarity's members before the next polarity's, so every
-  matrix cell sums its terms in the grouping the value path pins.
+  from that one evaluation).  A transient evaluates once per time
+  point (:meth:`CompiledCircuit.transient_point`): the evaluation at
+  an accepted solution closes its KCL and charge history and is the
+  next step's first Newton iteration, which starts there.  The results
+  are scattered into the Jacobian/residual with precomputed
+  duplicate-free scatter rounds that replay ``np.add.at`` on
+  coincident entries bit for bit; a round of one entry adds through a
+  view.  The rounds visit one polarity's members before the next
+  polarity's, so every matrix cell sums its terms in the grouping the
+  value path pins.
 * **Capacitors** are likewise grouped; their constant charge Jacobian is
   folded into the per-step companion base matrix.
 
@@ -55,8 +60,9 @@ Branch currents do not move inside the loop: they come from KCL once per
 converged solution, at every pinned node, from all members, with the
 gmin term each sample's residual carried when it converged
 (:meth:`CompiledCircuit.set_branch_currents` in ``dc_operating_point``,
-:meth:`CompiledCircuit.advance_history` at each accepted time step); a
-DC sweep reports node voltages only and skips them.
+:meth:`CompiledCircuit.advance_history` at each accepted time step, from
+that time point's evaluation); a DC sweep reports node voltages only and
+skips them.
 
 Compilation is split in two (PR 9):
 
@@ -324,10 +330,19 @@ def _scatter_program(idx: np.ndarray, order=None) -> tuple:
 
 def _apply_scatter(target: np.ndarray, program: tuple, values: np.ndarray) -> None:
     """Run a :func:`_scatter_program`: ``target[..., idx] += values``,
-    accumulating repeated indices in ``np.add.at`` order."""
-    values = np.broadcast_to(values, target.shape[:-1] + values.shape[-1:])
+    accumulating repeated indices in ``np.add.at`` order.
+
+    A round of one entry adds through a view (basic indexing) instead
+    of a fancy-index get, add and set: the same elementwise sums.
+    """
+    lead = target.shape[:-1]
+    if values.shape[:-1] != lead:
+        values = np.broadcast_to(values, lead + values.shape[-1:])
     for cols, positions in program:
-        target[..., cols] += values[..., positions]
+        if cols.size == 1:
+            target[..., cols[0]] += values[..., positions[0]]
+        else:
+            target[..., cols] += values[..., positions]
 
 
 def _subgroup_order(n_blocks: int, bounds) -> List[int]:
@@ -474,16 +489,6 @@ class _MosfetGroup:
 
     def gather(self, v_aug: np.ndarray, stamps: _MemberStamps):
         return tuple(v_aug[..., idx] for idx in stamps.gather)
-
-    def charge_flat(self, v_aug: np.ndarray) -> np.ndarray:
-        """Every member's terminal charges, terminal-major, shape
-        ``batch + (3 n_dev,)``."""
-        qg, qd, qs = self.device.charges(
-            *self.gather(v_aug, self.structure.kcl)
-        )
-        return np.concatenate(
-            np.broadcast_arrays(qg, qd, qs), axis=-1
-        )
 
 
 class _CapacitorGroupStructure:
@@ -773,7 +778,7 @@ class CompiledCircuit:
     # ------------------------------------------------------------------
     # Per-time-point pieces.
     # ------------------------------------------------------------------
-    def _sources(self, t: float):
+    def sources(self, t: float):
         """``(b_branch, b_free, b_pinned)`` at time *t*: each source's
         ``-V(t)`` in partition order, and the current sources' terms on
         the free and the pinned rows (None without current sources)."""
@@ -809,33 +814,27 @@ class CompiledCircuit:
         )
 
     def _nonlinear(self, v_aug: np.ndarray, base_jac: np.ndarray,
-                   charges: bool = False):
+                   tran_iv: Optional[list] = None):
         """Stacked MOSFET I-V stamps at ``v_aug`` into the free rows.
 
-        Returns the free-row residual accumulator, the flat free-row
-        Jacobian seeded with the constant *base_jac*, and the per-group
-        ``(q, cmat)`` list.  Without *charges* each group evaluates its
-        ``dc_device``; with *charges*, every member, taking the charges
-        and capacitances from the same device evaluation
-        (:meth:`DeviceModel.iv_and_charges`).
+        Returns the free-row residual accumulator and the flat free-row
+        Jacobian seeded with the constant *base_jac*.  Without *tran_iv*
+        each group evaluates its ``dc_device`` here; a transient passes
+        each group's ``(ids, gm, gds, gms)`` of every member, from its
+        :meth:`transient_point`.
         """
         batch = v_aug.shape[:-1]
         res = np.zeros(batch + (self.structure.partition.free.size,))
         jac_flat = np.empty(batch + base_jac.shape[-1:])
         jac_flat[...] = base_jac
-        group_charges = []
-        for grp in self.mos_groups:
-            if charges:
-                stamps = grp.structure.tran
-                iv, q_cmat = grp.device.iv_and_charges(
-                    *grp.gather(v_aug, stamps)
-                )
-                group_charges.append(q_cmat)
-            else:
+        for k, grp in enumerate(self.mos_groups):
+            if tran_iv is None:
                 stamps = grp.structure.dc
                 iv = grp.dc_device.ids_and_derivatives(
                     *grp.gather(v_aug, stamps)
                 )
+            else:
+                stamps, iv = grp.structure.tran, tran_iv[k]
             ids, gm, gds, gms = np.broadcast_arrays(*iv)
             _apply_scatter(res, stamps.f_prog,
                            np.concatenate([ids, -ids], axis=-1))
@@ -843,7 +842,7 @@ class CompiledCircuit:
                 jac_flat, stamps.j_prog,
                 np.concatenate([gm, gds, gms, -gm, -gds, -gms], axis=-1),
             )
-        return res, jac_flat, group_charges
+        return res, jac_flat
 
     def _system(self, v, res, jac_flat, sources) -> _FreeRowSystem:
         b_branch, b_free, _ = sources
@@ -856,10 +855,10 @@ class CompiledCircuit:
 
     def assemble_dc(self, t: float):
         """DC assembly closure for :func:`repro.circuit.mna.newton_solve`."""
-        sources = self._sources(t)
+        sources = self.sources(t)
 
         def assemble(v: np.ndarray) -> _FreeRowSystem:
-            res, jac_flat, _ = self._nonlinear(self._augment(v), self.j_base)
+            res, jac_flat = self._nonlinear(self._augment(v), self.j_base)
             return self._system(v, res, jac_flat, sources)
 
         return assemble
@@ -902,60 +901,88 @@ class CompiledCircuit:
             ids = grp.device.ids(*grp.gather(v_aug, stamps))
             _apply_scatter(r_pinned, stamps.f_prog,
                            np.concatenate([ids, -ids], axis=-1))
-        self._set_branches(v, r_pinned, self._sources(t)[2], gmin)
+        self._set_branches(v, r_pinned, self.sources(t)[2], gmin)
 
     # ------------------------------------------------------------------
     # Transient support (companion-model integration).
     # ------------------------------------------------------------------
-    def charge_groups(self):
-        """Charge-bearing groups in a stable order (caps first)."""
-        groups = []
-        if self.cap_group is not None:
-            groups.append(self.cap_group)
-        groups.extend(self.mos_groups)
-        return groups
+    def transient_point(self, v: np.ndarray):
+        """Every MOSFET group evaluated once at the solution *v*.
 
-    def charge_state(self, v: np.ndarray):
-        """Flat charge vectors per charge group at solution *v*, every
-        member of each group."""
+        Returns ``(v_aug, evaluations)``: *v* with its appended ground
+        zero, and each group's :meth:`DeviceModel.iv_and_charges` of
+        every member (the ``tran`` gather), ``(iv, (q, cmat))``.  A
+        transient evaluates one at its initial solution, where it gives
+        the initial charge history (:meth:`charge_state`), and at each
+        accepted solution but the last.  There its value parts, bit for
+        bit ``ids()`` and ``charges()``, close that point's KCL and
+        charge history (:meth:`advance_history`), and the whole point is
+        the next step's first Newton assembly (:meth:`assemble_transient`).
+        """
         v_aug = self._augment(v)
-        return [np.array(g.charge_flat(v_aug)) for g in self.charge_groups()]
+        return v_aug, [
+            grp.device.iv_and_charges(*grp.gather(v_aug, grp.structure.tran))
+            for grp in self.mos_groups
+        ]
 
-    def assemble_transient(self, t, coeff, use_be, q_hist, i_hist):
+    def _charges(self, v_aug: np.ndarray, mos_q) -> list:
+        """Flat charge vector per charge group: the capacitors' at
+        ``v_aug`` first, then each MOSFET group's terminal charges
+        *mos_q*, terminal-major."""
+        flat = [] if self.cap_group is None else [
+            self.cap_group.charge_flat(v_aug)
+        ]
+        flat.extend(np.concatenate(np.broadcast_arrays(*q), axis=-1)
+                    for q in mos_q)
+        return flat
+
+    def charge_state(self, point) -> list:
+        """Flat charge vectors per charge group at a
+        :meth:`transient_point`: a transient's initial charge history."""
+        v_aug, evaluations = point
+        return self._charges(v_aug, [q for _, (q, _) in evaluations])
+
+    def assemble_transient(self, sources, coeff, use_be, q_hist, i_hist,
+                           first=None):
         """Assembly closure for one implicit integration step.
 
+        *sources* are :meth:`sources` at the step's time point;
         ``q_hist``/``i_hist`` are the per-group flat charge and companion
-        current histories (layouts from :meth:`charge_state`).
+        current histories (layouts from :meth:`charge_state`).  Each
+        call evaluates a :meth:`transient_point` at its trial solution,
+        except that the first call takes *first* when given: the point
+        at the step's start vector, where
+        :func:`repro.circuit.mna.newton_solve` always assembles first.
+        Later iterations and gmin rungs evaluate their own.
         """
-        sources = self._sources(t)
         base_jac = self.j_base + coeff * self.c_base
+        qf_progs = [] if self.cap_group is None else [
+            self.cap_group.structure.qf_prog
+        ]
+        qf_progs.extend(grp.structure.tran.qf_prog for grp in self.mos_groups)
 
         def assemble(v: np.ndarray) -> _FreeRowSystem:
-            v_aug = self._augment(v)
-            res, jac_flat, mos_charges = self._nonlinear(
-                v_aug, base_jac, charges=True
+            nonlocal first
+            v_aug, evaluations = (
+                self.transient_point(v) if first is None else first
             )
-            mos_charges = iter(mos_charges)
-            for k, grp in enumerate(self.charge_groups()):
-                if isinstance(grp, _CapacitorGroup):
-                    # Linear Jacobian already folded into base_jac.
-                    q_new = grp.charge_flat(v_aug)
-                    qf_prog = grp.structure.qf_prog
-                else:
-                    q0, cmat = next(mos_charges)
-                    q_new = np.concatenate(
-                        np.broadcast_arrays(*q0), axis=-1
-                    )
-                    cap_vals = np.concatenate(
-                        np.broadcast_arrays(
-                            *(cmat[(ti, tj)] for ti in _TERMS for tj in _TERMS)
-                        ),
-                        axis=-1,
-                    )
-                    stamps = grp.structure.tran
-                    _apply_scatter(jac_flat, stamps.qj_prog, coeff * cap_vals)
-                    qf_prog = stamps.qf_prog
-                i_comp = coeff * (q_new - q_hist[k])
+            first = None
+            res, jac_flat = self._nonlinear(
+                v_aug, base_jac, [iv for iv, _ in evaluations]
+            )
+            # The capacitors' linear Jacobian is already in base_jac.
+            for grp, (_, (_, cmat)) in zip(self.mos_groups, evaluations):
+                cap_vals = np.concatenate(
+                    np.broadcast_arrays(
+                        *(cmat[(ti, tj)] for ti in _TERMS for tj in _TERMS)
+                    ),
+                    axis=-1,
+                )
+                _apply_scatter(jac_flat, grp.structure.tran.qj_prog,
+                               coeff * cap_vals)
+            q_new = self._charges(v_aug, [q for _, (q, _) in evaluations])
+            for k, (q, qf_prog) in enumerate(zip(q_new, qf_progs)):
+                i_comp = coeff * (q - q_hist[k])
                 if not use_be:
                     i_comp = i_comp - i_hist[k]
                 _apply_scatter(res, qf_prog, i_comp)
@@ -963,40 +990,51 @@ class CompiledCircuit:
 
         return assemble
 
-    def advance_history(self, v, t, coeff, use_be, q_hist, i_hist,
-                        gmin) -> None:
+    def advance_history(self, v, sources, coeff, use_be, q_hist, i_hist,
+                        gmin, point=None) -> None:
         """Update charge/current histories at the accepted solution *v*
         and fill its branch currents (in place).
 
-        One value-core evaluation per MOSFET group
-        (:meth:`DeviceModel.ids_and_charges`, every member) yields the
-        new charges and the currents; the pinned rows' KCL takes the I-V
-        stamps, then each group's new companion current, in the order
-        the Newton residual stamps them.
+        The currents and charges are the value parts of *point*, the
+        :meth:`transient_point` at *v*.  Without one (a transient's last
+        step, which no later step takes a point from) one value-core
+        evaluation per MOSFET group (:meth:`DeviceModel.ids_and_charges`,
+        every member) gives the same bits.  The pinned rows' KCL takes
+        the I-V stamps, then each group's new companion current, in the
+        order the Newton residual stamps them; *sources* are the step's,
+        those its assembly used.
         """
-        v_aug = self._augment(v)
+        if point is None:
+            v_aug = self._augment(v)
+            values = [
+                grp.device.ids_and_charges(
+                    *grp.gather(v_aug, grp.structure.kcl)
+                )
+                for grp in self.mos_groups
+            ]
+        else:
+            v_aug, evaluations = point
+            values = [(iv[0], q) for iv, (q, _) in evaluations]
         r_pinned = np.zeros(
             v.shape[:-1] + self.structure.partition.pinned.shape
         )
-        charges = []
-        if self.cap_group is not None:
-            charges.append((self.cap_group.charge_flat(v_aug),
-                            self.cap_group.structure.kcl_qf_prog))
-        for grp in self.mos_groups:
+        kcl_progs = [] if self.cap_group is None else [
+            self.cap_group.structure.kcl_qf_prog
+        ]
+        for grp, (ids, _) in zip(self.mos_groups, values):
             stamps = grp.structure.kcl
-            ids, q = grp.device.ids_and_charges(*grp.gather(v_aug, stamps))
             _apply_scatter(r_pinned, stamps.f_prog,
                            np.concatenate([ids, -ids], axis=-1))
-            charges.append((np.concatenate(np.broadcast_arrays(*q), axis=-1),
-                            stamps.qf_prog))
-        for k, (q_new, kcl_prog) in enumerate(charges):
-            i_new = coeff * (q_new - q_hist[k])
+            kcl_progs.append(stamps.qf_prog)
+        q_new = self._charges(v_aug, [q for _, q in values])
+        for k, (q, kcl_prog) in enumerate(zip(q_new, kcl_progs)):
+            i_new = coeff * (q - q_hist[k])
             if not use_be:
                 i_new = i_new - i_hist[k]
-            q_hist[k] = q_new
-            i_hist[k] = np.broadcast_to(i_new, q_new.shape).copy()
+            q_hist[k] = q
+            i_hist[k] = np.broadcast_to(i_new, q.shape).copy()
             _apply_scatter(r_pinned, kcl_prog, i_new)
-        self._set_branches(v, r_pinned, self._sources(t)[2], gmin)
+        self._set_branches(v, r_pinned, sources[2], gmin)
 
 
 def _two_terminal_block(elements, values, n_nodes: int) -> np.ndarray:

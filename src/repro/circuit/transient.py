@@ -5,10 +5,20 @@ DC-to-transient transition) and trapezoidal integration afterwards
 (second-order, non-dissipative — the standard SPICE arrangement).  The
 charge history ``q`` and companion current ``i`` are carried per
 charge-bearing element, batched over the Monte-Carlo axis.
+
+On a compiled plan every MOSFET is evaluated once per time point
+(:meth:`repro.circuit.compiled.CompiledCircuit.transient_point`).  The
+evaluation at an accepted solution closes that point's branch-current
+KCL and charge history, and it is also the next step's first Newton
+assembly: :func:`repro.circuit.mna.newton_solve` always assembles first
+at its start vector, the previous solution.  Only the last step closes
+with a value-only evaluation.  Each step evaluates its sources once, for
+its assembly and its KCL.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -68,13 +78,20 @@ def transient(
         ``"trap"`` (default, trapezoidal after a BE start) or ``"be"``.
     record_every:
         Keep every k-th time point (memory control for long runs).
+
+    *t_start*, *t_stop* and *dt* must be finite and *record_every* at
+    least 1 (``ValueError`` before the initial DC solve otherwise).
     """
+    if not all(math.isfinite(x) for x in (t_start, t_stop, dt)):
+        raise ValueError("t_start, t_stop and dt must be finite")
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if t_stop <= t_start:
         raise ValueError("t_stop must exceed t_start")
     if method not in ("trap", "be"):
         raise ValueError(f"unknown integration method {method!r}")
+    if record_every < 1:
+        raise ValueError("record_every must be >= 1")
 
     n = circuit.assign_branches()
     batch = circuit.batch_shape
@@ -89,18 +106,29 @@ def transient(
     if compiled is not None:
         # Charge/companion histories live as one flat array per element
         # group; the stepping loop below is shared with the generic path.
-        # The compiled Newton loop leaves branch currents alone; each
-        # accepted step's history update fills them by KCL, with the gmin
-        # each sample converged at.
-        q_hist = compiled.charge_state(v)
+        # One device evaluation per time point (see the module
+        # docstring): each step's first assembly takes the point the
+        # previous step's history update evaluated at its start vector,
+        # and a step's sources serve its assembly and its KCL.  The
+        # compiled Newton loop leaves branch currents alone; each
+        # accepted step's history update fills them by KCL, with the
+        # gmin each sample converged at.
+        point = compiled.transient_point(v)
+        q_hist = compiled.charge_state(point)
         i_hist = [np.zeros_like(q) for q in q_hist]
+        sources = None
 
         def make_assemble(t_new, coeff, use_be):
-            return compiled.assemble_transient(t_new, coeff, use_be, q_hist, i_hist)
+            nonlocal sources
+            sources = compiled.sources(t_new)
+            return compiled.assemble_transient(sources, coeff, use_be,
+                                               q_hist, i_hist, first=point)
 
-        def advance_history(v_new, t_new, coeff, use_be, gmin):
-            compiled.advance_history(v_new, t_new, coeff, use_be, q_hist,
-                                     i_hist, gmin)
+        def advance_history(v_new, coeff, use_be, gmin, last):
+            nonlocal point
+            point = None if last else compiled.transient_point(v_new)
+            compiled.advance_history(v_new, sources, coeff, use_be, q_hist,
+                                     i_hist, gmin, point)
 
     else:
         charge_elements: List = [
@@ -131,7 +159,7 @@ def transient(
 
             return assemble
 
-        def advance_history(v_new, t_new, coeff, use_be, gmin):
+        def advance_history(v_new, coeff, use_be, gmin, last):
             for k, element in enumerate(charge_elements):
                 q_new = np.array(element.charge_vector(v_new), dtype=float)
                 i_new = coeff * (q_new - q_hist[k])
@@ -153,7 +181,7 @@ def transient(
             return_info=True,
         )
         require_converged(info, options)
-        advance_history(v, t_new, coeff, use_be, info.gmin)
+        advance_history(v, coeff, use_be, info.gmin, step == n_steps)
 
         if step % record_every == 0 or step == n_steps:
             recorded_times.append(t_new)

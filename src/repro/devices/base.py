@@ -30,8 +30,12 @@ Conventions
   stacked finite-difference stamps, four bias points per call.
   :meth:`DeviceModel.iv_and_charges` finishes ONE fold and ONE core
   evaluation into both the I-V and the charge stamps, so a transient
-  Newton iteration evaluates each device once; its value-path twin
-  :meth:`DeviceModel.ids_and_charges` serves each accepted time step.
+  evaluates each device once per time point: at an accepted solution
+  its value parts (``ids()`` and ``charges()`` bit for bit) close the
+  point's KCL and charge history, and the whole evaluation is the next
+  step's first Newton iteration.  Its value-path twin
+  :meth:`DeviceModel.ids_and_charges` serves the last time step, which
+  no later iteration reuses.
 * Every formula exists once, so the analytic path's values are the value
   path's by construction, not by a kept copy: a model's gradient core
   calls its value core ``_core_normalized`` (which also returns the

@@ -83,6 +83,17 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             Transient(t_stop=1e-9, dt=1e-12, record_every=0)
 
+    @pytest.mark.parametrize("times", [
+        {"t_stop": 1e-9, "dt": float("nan")},
+        {"t_stop": float("nan"), "dt": 1e-11},
+        {"t_stop": float("inf"), "dt": 1e-11},
+        {"t_stop": 1e-9, "dt": float("inf")},
+        {"t_stop": 1e-9, "dt": 1e-11, "t_start": float("-inf")},
+    ])
+    def test_transient_rejects_non_finite_times(self, times):
+        with pytest.raises(ValueError, match="finite"):
+            Transient(**times)
+
     def test_ac_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             AC(frequencies=(), ac_sources=("VIN",))

@@ -1,5 +1,7 @@
 """Transient engine: RC analytics, charge conservation, batching."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,25 @@ class TestRCAnalytic:
             transient(ckt, t_stop=0.0, dt=1e-12)
         with pytest.raises(ValueError):
             transient(ckt, t_stop=1e-9, dt=1e-12, method="gear")
+
+    @pytest.mark.parametrize("arguments,message", [
+        ({"t_stop": 1e-9, "dt": 1e-11, "record_every": 0}, "record_every"),
+        ({"t_stop": np.inf, "dt": 1e-11}, "finite"),
+        ({"t_stop": np.nan, "dt": 1e-11}, "finite"),
+        ({"t_stop": 1e-9, "dt": np.nan}, "finite"),
+        ({"t_stop": 1e-9, "dt": np.inf}, "finite"),
+        ({"t_stop": 1e-9, "dt": 1e-11, "t_start": np.nan}, "finite"),
+    ])
+    def test_rejects_bad_times_before_the_dc_solve(self, arguments, message,
+                                                   monkeypatch):
+        solves = []
+        monkeypatch.setattr(
+            importlib.import_module("repro.circuit.transient"),
+            "dc_operating_point", lambda *args, **kwargs: solves.append(1),
+        )
+        with pytest.raises(ValueError, match=message):
+            transient(self.build_rc(), **arguments)
+        assert not solves
 
 
 def build_inverter_tran(batch_vt0=None, cl=2e-15):

@@ -9,8 +9,9 @@ Seven contracts are pinned here:
   property tests, one per model).
 * **Scatter rounds = np.add.at** — the duplicate-free scatter programs
   the assembly runs are *bitwise* the reference ``np.add.at``
-  accumulation for arbitrary index multisets, and a polarity-merged
-  group's programs replay the former per-polarity groups' accumulation.
+  accumulation for arbitrary index multisets, batch shapes (``()``
+  included) and broadcast values, and a polarity-merged group's
+  programs replay the former per-polarity groups' accumulation.
 * **Fused = separate** — ``iv_and_charges`` (one bias fold, one model
   core) is bitwise ``ids_and_derivatives`` plus
   ``charges_and_capacitance`` for both models, both polarities, both
@@ -180,8 +181,13 @@ def _assert_same_bits(got, want):
 class TestScatterProgram:
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), m=st.integers(2, 10), k=st.integers(1, 24),
-           batch=st.integers(1, 5))
-    def test_bitwise_equal_to_add_at(self, data, m, k, batch):
+           batch=st.sampled_from([(), (1,), (4,), (2, 3)]),
+           form=st.sampled_from(["full", "row", "stride0"]))
+    def test_bitwise_equal_to_add_at(self, data, m, k, batch, form):
+        # Batch () writes one-entry rounds through 0-d views.  *form*:
+        # values over the whole batch, one row the scatter broadcasts,
+        # or that row already broadcast to the batch (stride 0).  Signed
+        # zeros on both sides must come out as np.add.at's.
         idx = np.asarray(
             data.draw(st.lists(st.integers(0, m - 1),
                                min_size=k, max_size=k))
@@ -189,15 +195,20 @@ class TestScatterProgram:
         rng = np.random.default_rng(
             data.draw(st.integers(0, 2**32 - 1))
         )
-        values = rng.standard_normal((batch, k)) * 10.0 ** rng.integers(
-            -12, 3, size=(batch, k)
+        shape = batch + (k,) if form == "full" else (k,)
+        values = rng.standard_normal(shape) * 10.0 ** rng.integers(
+            -12, 3, size=shape
         )
-        reference = rng.standard_normal((batch, m))
+        values[rng.random(shape) < 0.2] = -0.0
+        if form == "stride0":
+            values = np.broadcast_to(values, batch + (k,))
+        reference = rng.standard_normal(batch + (m,))
+        reference[rng.random(reference.shape) < 0.2] = 0.0
         via_add_at = reference.copy()
         _scatter_add(via_add_at, idx, values)
         via_rounds = reference.copy()
         _apply_scatter(via_rounds, _scatter_program(idx), values)
-        np.testing.assert_array_equal(via_rounds, via_add_at)
+        _assert_same_bits(via_rounds, via_add_at)
 
     def test_rounds_preserve_occurrence_order(self):
         # idx 0 appears at positions 0, 2, 3: round r must hold its

@@ -6,9 +6,13 @@ drives random network topologies and values through both paths.  The
 compiled engine's grounded-source elimination is checked against the
 generic full-MNA solve and against a dense solve of the generic full
 MNA system; its branch currents close every pinned node's KCL.  The
-Newton loop's column-wise tests, the row-subset step and the node-only,
-secant-predicted DC sweep are pinned against their reference forms.
+Newton loop's column-wise tests, the row-subset step, the node-only,
+secant-predicted DC sweep and the transient's one device evaluation per
+time point are pinned against their reference forms.
 """
+
+import functools
+import importlib
 
 import networkx as nx
 import numpy as np
@@ -17,7 +21,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.api.plans import PlanCache
 from repro.cells.dff import DFFSpec, build_dff
-from repro.cells.factory import MonteCarloDeviceFactory
+from repro.cells.factory import (
+    MonteCarloDeviceFactory,
+    RecordingFactory,
+    ScalarReplayFactory,
+)
 from repro.cells.inverter import InverterSpec, build_inverter_fo
 from repro.cells.nand import Nand2Spec, build_nand2_fo
 from repro.cells.sram import SRAMSpec, _build_half_forced, _sampled_devices
@@ -25,6 +33,7 @@ from repro.circuit import (
     Circuit,
     GROUND,
     DC,
+    MOSFET,
     Pulse,
     Step,
     VoltageSource,
@@ -382,6 +391,27 @@ CELLS = {"sram_half": _sram_half, "nand2_fo3": _nand2,
 #: Cells with capacitors also step a short transient.
 TRANSIENT_CELLS = ("nand2_fo3", "inverter_fo3_load_supply", "dff")
 
+#: Newton options under which :func:`_ladder_circuit`'s second sample
+#: takes the gmin ladder.
+LADDER_OPTIONS = NewtonOptions(gmin=1e-6, max_iterations=8)
+
+
+def _ladder_circuit(analysis):
+    """A two-sample divider whose 5 V sample outruns the 0.3 V clamp in
+    ``LADDER_OPTIONS.max_iterations``; with ``analysis="transient"`` its
+    source steps up at 0.5 ps and node b carries a capacitor."""
+    circuit = Circuit()
+    level = np.array([0.2, 5.0])
+    if analysis == "dc":
+        circuit.add_vsource("a", GROUND, DC(level), name="V1")
+    else:
+        circuit.add_vsource("a", GROUND, Step(0.0, level, 0.5e-12, 1e-15),
+                            name="V1")
+        circuit.add_capacitor("b", GROUND, 1e-15, name="C1")
+    circuit.add_resistor("a", "b", 1e3, name="R1")
+    circuit.add_resistor("b", GROUND, np.array([1e3, 2e3]), name="R2")
+    return circuit
+
 
 def _solve(circuit, backend, solve):
     circuit.set_backend(backend)
@@ -605,15 +635,18 @@ class TestSourceElimination:
 
     def test_transient_evaluates_devices_once_per_iteration_and_step(
             self, technology, monkeypatch):
-        # NAND2 FO3: every Newton iteration is one fused core evaluation,
-        # and every accepted step one more (history and KCL together);
-        # the extra one is the initial charge history.
+        # NAND2 FO3: every Newton iteration is one fused core evaluation.
+        # The evaluation at each accepted time point but the last also
+        # closes its KCL and history and is the next step's first
+        # iteration; the one at the initial solution gives the initial
+        # charge history.  The extra one is the last step's value-only
+        # history evaluation.
         factory = MonteCarloDeviceFactory(technology, 3, seed=23)
         circuit, hints = CELLS["nand2_fo3"](factory, technology.vdd)
         v0 = initial_guess(circuit, hints)
         v_dc = _solve(circuit, "compiled",
                       lambda c: dc_operating_point(c, v0=v0))
-        cores, iterations = [], []
+        cores, iterations, value_only = [], [], []
         core = VSDevice._core_normalized
 
         def counting_core(device, vgs, vds):
@@ -622,8 +655,8 @@ class TestSourceElimination:
 
         build = CompiledCircuit.assemble_transient
 
-        def counting_build(plan, *args):
-            assemble = build(plan, *args)
+        def counting_build(plan, *args, **kwargs):
+            assemble = build(plan, *args, **kwargs)
 
             def counted(v):
                 iterations.append(1)
@@ -631,14 +664,23 @@ class TestSourceElimination:
 
             return counted
 
+        ids_and_charges = DeviceModel.ids_and_charges
+
+        def counting_ids_and_charges(device, vg, vd, vs):
+            value_only.append(1)
+            return ids_and_charges(device, vg, vd, vs)
+
         monkeypatch.setattr(VSDevice, "_core_normalized", counting_core)
         monkeypatch.setattr(CompiledCircuit, "assemble_transient",
                             counting_build)
+        monkeypatch.setattr(DeviceModel, "ids_and_charges",
+                            counting_ids_and_charges)
         result = _solve(circuit, "compiled",
                         lambda c: transient(c, 24e-12, 2e-12, v0=v_dc))
         steps = len(result.times) - 1
         assert steps == 12
-        assert len(cores) == len(iterations) + steps + 1
+        assert len(cores) == len(iterations) + 1
+        assert len(value_only) == 1
 
     @pytest.mark.parametrize("analysis", ["dc", "transient"])
     def test_kcl_uses_the_gmin_each_sample_converged_at(self, analysis):
@@ -648,17 +690,8 @@ class TestSourceElimination:
         # step's first time point).  Each sample's branch current must
         # carry its own gmin term, as the generic dense solve's does:
         # 1e-6 S * 5 V against 1.7 mA is far outside BRANCH_RTOL.
-        opts = NewtonOptions(gmin=1e-6, max_iterations=8)
-        circuit = Circuit()
-        level = np.array([0.2, 5.0])
-        if analysis == "dc":
-            circuit.add_vsource("a", GROUND, DC(level), name="V1")
-        else:
-            circuit.add_vsource("a", GROUND, Step(0.0, level, 0.5e-12, 1e-15),
-                                name="V1")
-            circuit.add_capacitor("b", GROUND, 1e-15, name="C1")
-        circuit.add_resistor("a", "b", 1e3, name="R1")
-        circuit.add_resistor("b", GROUND, np.array([1e3, 2e3]), name="R2")
+        opts = LADDER_OPTIONS
+        circuit = _ladder_circuit(analysis)
         v, info = newton_solve(
             circuit.compiled().assemble_dc(1e-12),
             np.zeros((2, circuit.assign_branches())), circuit.n_nodes, opts,
@@ -700,6 +733,142 @@ class TestSourceElimination:
             v[..., circuit["VD"].branch_index],
             -(device.ids(0.7, 0.5, 0.0) + DEFAULT_GMIN * 0.5), rtol=1e-14,
         )
+
+
+# ----------------------------------------------------------------------
+# One device evaluation per transient time point.
+# ----------------------------------------------------------------------
+def _logged_newton(log):
+    """``newton_solve`` that appends each solve's assemble calls and
+    per-sample gmin to *log*."""
+    def solve(assemble, *args, **kwargs):
+        calls = []
+
+        @functools.wraps(assemble)
+        def counted(v):
+            calls.append(1)
+            return assemble(v)
+
+        v, info = newton_solve(counted, *args, **kwargs)
+        log.append((len(calls), np.asarray(info.gmin).tolist()))
+        return v, info
+
+    return solve
+
+
+def _shared_transient(circuit, t_stop, dt, v0, method, monkeypatch,
+                      options=None):
+    """``transient`` on the compiled plan: every step's unknown vector
+    and its Newton solve's log (:func:`_logged_newton`)."""
+    log = []
+    with monkeypatch.context() as patch:
+        patch.setattr(importlib.import_module("repro.circuit.transient"),
+                      "newton_solve", _logged_newton(log))
+        result = _solve(circuit, "compiled", lambda c: transient(
+            c, t_stop, dt, v0=v0, method=method, options=options
+        ))
+    return result.voltages, log
+
+
+def _unshared_transient(circuit, t_stop, dt, v0, method, options=None):
+    """The compiled transient without the shared time-point evaluation.
+
+    Every Newton assembly evaluates its own devices, the initial charge
+    history comes from ``charges()``, and each accepted step refreshes
+    the history and closes its KCL with its own value-path
+    ``ids_and_charges`` (``advance_history`` without a point).  Returns
+    what :func:`_shared_transient` does.
+    """
+    plan = circuit.compiled()
+    v = np.array(v0, dtype=float)
+    v_aug = plan._augment(v)
+    q_hist = plan._charges(v_aug, [
+        grp.device.charges(*grp.gather(v_aug, grp.structure.kcl))
+        for grp in plan.mos_groups
+    ])
+    i_hist = [np.zeros_like(q) for q in q_hist]
+    recorded, log = [v.copy()], []
+    for step in range(1, int(np.ceil(t_stop / dt)) + 1):
+        use_be = method == "be" or step == 1
+        coeff = (1.0 / dt) if use_be else (2.0 / dt)
+        sources = plan.sources(step * dt)
+        v, info = _logged_newton(log)(
+            plan.assemble_transient(sources, coeff, use_be, q_hist, i_hist),
+            v, circuit.n_nodes, options, return_info=True,
+        )
+        assert info.converged.all()
+        plan.advance_history(v, sources, coeff, use_be, q_hist, i_hist,
+                             info.gmin)
+        recorded.append(v.copy())
+    return np.stack(recorded), log
+
+
+def _assert_same_bits(got, want):
+    """Equal shapes and bytes: ``-0.0`` differs from ``0.0``."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestSharedTimePoint:
+    """A transient evaluates each MOSFET once per time point.
+
+    The evaluation at an accepted solution closes its KCL and charge
+    history and is the next step's first Newton assembly, so every node
+    voltage and branch current at every step equals the unshared loop's
+    bit for bit, and every step takes the same Newton iterations.
+    """
+
+    @pytest.mark.parametrize("method", ["trap", "be"])
+    @pytest.mark.parametrize("mode", ["analytic", "fd"])
+    @pytest.mark.parametrize("model", ["vs", "bsim"])
+    @pytest.mark.parametrize("cell", ["nand2_fo3", "dff"])
+    def test_equals_unshared_loop_bitwise(self, technology, monkeypatch,
+                                          cell, model, mode, method):
+        # Batched over 3 samples, then each sample as a scalar circuit.
+        recorder = RecordingFactory(
+            MonteCarloDeviceFactory(technology, 3, model=model, seed=31)
+        )
+        factories = [recorder] + [
+            ScalarReplayFactory(recorder.devices, k) for k in range(3)
+        ]
+        for factory in factories:
+            circuit, hints = CELLS[cell](factory, technology.vdd)
+            for element in circuit.elements:
+                if isinstance(element, MOSFET):
+                    element.model.derivatives = mode
+            v0 = initial_guess(circuit, hints)
+            v_dc = _solve(circuit, "compiled",
+                          lambda c: dc_operating_point(c, v0=v0))
+            voltages, log = _shared_transient(circuit, 40e-12, 2e-12, v_dc,
+                                              method, monkeypatch)
+            ref_voltages, ref_log = _unshared_transient(
+                circuit, 40e-12, 2e-12, v_dc, method
+            )
+            _assert_same_bits(voltages, ref_voltages)
+            assert log == ref_log
+
+    def test_gmin_ladder_step_equals_unshared_loop_bitwise(
+            self, technology, monkeypatch):
+        # The ladder circuit with a transistor on node b: step 1 takes
+        # sample 1 through the gmin ladder, whose rungs restart from
+        # their own start vectors and evaluate their own devices.
+        circuit = _ladder_circuit("transient")
+        device = MonteCarloDeviceFactory(technology, 2, seed=37)(
+            "nmos", 300.0, 40.0
+        )
+        circuit.add_mosfet(device, d="b", g="a", s=GROUND, name="M1")
+        v_dc = _solve(circuit, "compiled",
+                      lambda c: dc_operating_point(c, options=LADDER_OPTIONS))
+        voltages, log = _shared_transient(circuit, 3e-12, 1e-12, v_dc, "trap",
+                                          monkeypatch, LADDER_OPTIONS)
+        ref_voltages, ref_log = _unshared_transient(
+            circuit, 3e-12, 1e-12, v_dc, "trap", LADDER_OPTIONS
+        )
+        floor = LADDER_OPTIONS.gmin_steps[-1]
+        assert log[0][1] == [LADDER_OPTIONS.gmin, floor]
+        _assert_same_bits(voltages, ref_voltages)
+        assert log == ref_log
 
 
 # ----------------------------------------------------------------------
