@@ -9,9 +9,9 @@ held high — the standard worst-case single-input switching arc.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Sequence, Tuple
 
-from repro.analysis.delay import DelayResult, propagation_delay
+from repro.analysis.delay import DelayResult, DelayWatch, propagation_delay
 from repro.cells.factory import DeviceFactory
 from repro.cells.inverter import InverterSpec, _add_inverter
 from repro.circuit.netlist import Circuit, GROUND
@@ -78,18 +78,33 @@ def build_nand2_fo(
     return circuit, hints
 
 
+#: The A input's arcs, in the order :func:`nand2_delays` returns them.
+NAND2_ARCS = ("tphl", "tplh")
+
+
 def nand2_delays(
     factory: DeviceFactory,
     spec: Nand2Spec,
     vdd: float,
     dt: float = None,
     t_edge: float = None,
+    arcs: Sequence[str] = NAND2_ARCS,
 ) -> Dict[str, DelayResult]:
     """tpHL / tpLH of the A input arc; timing scales with Vdd.
 
     At low supply the cell slows dramatically, so the default edge, step
-    and observation window stretch as ``(0.9 / vdd)**2``.
+    and observation window stretch as ``(0.9 / vdd)**2``.  *arcs* picks
+    the arcs to measure (``ValueError`` for an unknown name or none);
+    only those are returned.  Without ``"tplh"`` the transient stops on
+    a :class:`~repro.analysis.delay.DelayWatch` once every sample's tpHL
+    is settled, so it skips the rest of the pulse; the tpHL equals the
+    full window's bit for bit.
     """
+    unknown = sorted(set(arcs) - set(NAND2_ARCS))
+    if unknown or not arcs:
+        raise ValueError(
+            f"arcs must be a non-empty subset of {NAND2_ARCS}, got {arcs!r}"
+        )
     stretch = (0.9 / vdd) ** 2
     if t_edge is None:
         t_edge = 8e-12 * stretch
@@ -103,9 +118,17 @@ def nand2_delays(
     from repro.circuit.dcop import initial_guess
 
     t_stop = t_delay + width + t_edge + 20.0 * t_edge
-    result = transient(circuit, t_stop, dt, dc_guess=initial_guess(circuit, hints))
+    until = None
+    if "tplh" not in arcs:
+        until = DelayWatch(circuit, "a", "out", vdd, input_edge="rise")
+    result = transient(circuit, t_stop, dt, dc_guess=initial_guess(circuit, hints),
+                       until=until)
 
-    tphl = propagation_delay(result, "a", "out", vdd, input_edge="rise")
-    fall_start = t_delay + t_edge + width * 0.5
-    tplh = propagation_delay(result, "a", "out", vdd, input_edge="fall", t_min=fall_start)
-    return {"tphl": tphl, "tplh": tplh}
+    delays = {}
+    if "tphl" in arcs:
+        delays["tphl"] = propagation_delay(result, "a", "out", vdd, input_edge="rise")
+    if "tplh" in arcs:
+        fall_start = t_delay + t_edge + width * 0.5
+        delays["tplh"] = propagation_delay(result, "a", "out", vdd,
+                                           input_edge="fall", t_min=fall_start)
+    return delays

@@ -96,7 +96,9 @@ def dc_sweep(
                 guess[..., :n_nodes] += np.clip(ratio * (x - x_prev),
                                                 -vlimit, vlimit)
             guess, _ = _solve_nodes(circuit, plan, guess, 0.0, options)
-            solutions.append(guess[..., :n_nodes])
+            # Contiguous, so the prediction and the final stack run
+            # elementwise in one pass instead of once per sample row.
+            solutions.append(np.ascontiguousarray(guess[..., :n_nodes]))
     finally:
         waveform.level = original_level
 

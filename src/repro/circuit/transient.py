@@ -14,13 +14,20 @@ assembly: :func:`repro.circuit.mna.newton_solve` always assembles first
 at its start vector, the previous solution.  Only the last step closes
 with a value-only evaluation.  Each step evaluates its sources once, for
 its assembly and its KCL.
+
+A run may end before *t_stop*: an ``until`` test sees the node voltages
+of every recorded time point, and the run ends after the first recorded
+step it accepts.  Every step up to there is computed exactly as in the
+full run, so the recorded points are a prefix of the full run's, bit for
+bit.  The stopping step closes its history with the value-only
+evaluation, as the last step of a full run does.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -61,6 +68,7 @@ def transient(
     options: Optional[NewtonOptions] = None,
     record_every: int = 1,
     dc_guess: Optional[np.ndarray] = None,
+    until: Optional[Callable[[float, np.ndarray], bool]] = None,
 ) -> TransientResult:
     """Run a fixed-step transient from *t_start* to *t_stop*.
 
@@ -78,9 +86,21 @@ def transient(
         ``"trap"`` (default, trapezoidal after a BE start) or ``"be"``.
     record_every:
         Keep every k-th time point (memory control for long runs).
+    until:
+        Stop test ``until(t, nodes) -> bool``, called at every recorded
+        time point, the initial solution at *t_start* included, with
+        that point's node voltages (a read-only array of shape
+        ``batch + (n_nodes,)``; no branch currents).  It is called
+        before the step's history update.  The run ends after the first
+        recorded step where it returns True, and that step is recorded;
+        a True at the initial point does not end the run.  The recorded
+        points are the full run's first ones, bit for bit.  A run that
+        stops never reaches the later steps, so a Newton failure there
+        does not raise.
 
     *t_start*, *t_stop* and *dt* must be finite and *record_every* at
-    least 1 (``ValueError`` before the initial DC solve otherwise).
+    least 1 (``ValueError``), and *until* callable or None
+    (``TypeError``), all checked before the initial DC solve.
     """
     if not all(math.isfinite(x) for x in (t_start, t_stop, dt)):
         raise ValueError("t_start, t_stop and dt must be finite")
@@ -92,6 +112,8 @@ def transient(
         raise ValueError(f"unknown integration method {method!r}")
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
+    if until is not None and not callable(until):
+        raise TypeError(f"until must be callable, got {type(until).__name__}")
 
     n = circuit.assign_branches()
     batch = circuit.batch_shape
@@ -168,8 +190,16 @@ def transient(
                 q_hist[k] = q_new
                 i_hist[k] = np.broadcast_to(i_new, q_new.shape).copy()
 
+    def stops(t, v) -> bool:
+        if until is None:
+            return False
+        nodes = v[..., :circuit.n_nodes]
+        nodes.flags.writeable = False
+        return bool(until(t, nodes))
+
     recorded_times = [t_start]
     recorded_v = [v.copy()]
+    stops(t_start, v)
 
     for step in range(1, n_steps + 1):
         t_new = t_start + step * dt
@@ -181,11 +211,15 @@ def transient(
             return_info=True,
         )
         require_converged(info, options)
-        advance_history(v, coeff, use_be, info.gmin, step == n_steps)
+        record = step % record_every == 0 or step == n_steps
+        stop = record and stops(t_new, v)
+        advance_history(v, coeff, use_be, info.gmin, stop or step == n_steps)
 
-        if step % record_every == 0 or step == n_steps:
+        if record:
             recorded_times.append(t_new)
             recorded_v.append(v.copy())
+        if stop:
+            break
 
     node_index = {name: circuit.index_of(name) for name in circuit.node_names}
     return TransientResult(

@@ -55,13 +55,19 @@ class Fig7Result:
 
 @dataclass(frozen=True)
 class Nand2DelayWork:
-    """Picklable NAND2 ``tphl`` workload for ``FactoryMap`` sweeps."""
+    """Picklable NAND2 ``tphl`` workload for ``FactoryMap`` sweeps.
+
+    It measures tpHL only, so its transient stops once every sample's
+    tpHL is settled (:func:`~repro.cells.nand.nand2_delays` with
+    ``arcs=("tphl",)``).
+    """
 
     spec: Nand2Spec
     vdd: float
 
     def __call__(self, factory) -> np.ndarray:
-        return nand2_delays(factory, self.spec, self.vdd)["tphl"].delay
+        return nand2_delays(factory, self.spec, self.vdd,
+                            arcs=("tphl",))["tphl"].delay
 
 
 def _delay_sweep(model: str, vdds, n_samples: int) -> Sweep:

@@ -69,13 +69,19 @@ class SSTAResult:
 
 @dataclass(frozen=True)
 class ArcDelayWork:
-    """Picklable NAND2 arc-delay workload (``FactoryMap``/``map_mc``)."""
+    """Picklable NAND2 arc-delay workload (``FactoryMap``/``map_mc``).
+
+    It measures tpHL only, so its transient stops once every sample's
+    tpHL is settled (:func:`~repro.cells.nand.nand2_delays` with
+    ``arcs=("tphl",)``).
+    """
 
     spec: Nand2Spec
     vdd: float
 
     def __call__(self, factory) -> np.ndarray:
-        return nand2_delays(factory, self.spec, self.vdd)["tphl"].delay
+        return nand2_delays(factory, self.spec, self.vdd,
+                            arcs=("tphl",))["tphl"].delay
 
 
 def _arc_sample_sweep(vdds, n_samples: int, execution=None) -> Sweep:

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from repro.analysis.delay import crossing_time
+from repro.analysis.delay import DelayWatch, crossing_time, propagation_delay
 from repro.analysis.setup_hold import bisect_min_passing
 from repro.analysis.snm import _interp_uniform, largest_square_snm
+from repro.circuit import Circuit
+from repro.circuit.transient import TransientResult
 
 
 class TestCrossingTime:
@@ -47,6 +50,110 @@ class TestCrossingTime:
         t = np.linspace(0.0, 1.0, 11)
         with pytest.raises(ValueError):
             crossing_time(t, t, 0.5, "sideways")
+
+    @pytest.mark.parametrize("n_points", [0, 1])
+    def test_fewer_than_two_points_is_nan(self, n_points):
+        times = np.zeros(n_points)
+        tc = crossing_time(times, np.full((n_points, 2), 0.1), 0.5)
+        assert tc.shape == (2,)
+        assert np.isnan(tc).all()
+
+    def test_non_finite_segment_end_is_nan(self):
+        # NaN counts as below the threshold, so [nan, 1] is a rising
+        # segment; its crossing instant is unknown.
+        t = np.array([0.0, 1.0, 2.0])
+        wave = np.array([[0.0, 0.0, 0.0], [np.nan, 0.2, np.inf], [1.0, 1.0, 1.0]])
+        tc = crossing_time(t, wave, 0.5, "rise")
+        assert np.isnan(tc[0]) and np.isnan(tc[2])
+        assert tc[1] == pytest.approx(1.375)
+
+
+_LEVELS = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+                    st.floats(-0.25, 1.25))
+
+
+@st.composite
+def _wave(draw, shape):
+    """Random levels, or per sample a step between two levels at its own
+    time point (or none), each with glitches on top.  The levels hit the
+    0.5 threshold exactly."""
+    if draw(st.booleans()):
+        return draw(arrays(float, shape, elements=_LEVELS))
+    edges = draw(arrays(int, shape[1:], elements=st.integers(1, shape[0])))
+    before, after = draw(_LEVELS), draw(_LEVELS)
+    index = np.arange(shape[0]).reshape((-1,) + (1,) * (len(shape) - 1))
+    wave = np.where(index < edges, before, after)
+    glitches = draw(arrays(bool, shape, elements=st.booleans()))
+    return np.where(glitches & draw(st.booleans()),
+                    draw(arrays(float, shape, elements=_LEVELS)), wave)
+
+
+@st.composite
+def _waveforms(draw):
+    """Batched input and output waveforms on a uniform time grid that may
+    start before t = 0."""
+    n_points = draw(st.integers(1, 16))
+    shape = (n_points,) + draw(st.sampled_from([(), (1,), (3,), (2, 2)]))
+    start = draw(st.integers(-3, 0))
+    dt = draw(st.sampled_from([1.0, 0.3, 2e-12]))
+    times = (np.arange(n_points) + start) * dt
+    return times, draw(_wave(shape)), draw(_wave(shape))
+
+
+class TestDelayWatch:
+    """The stop rule is exact: at the watch's first True, the delays of
+    the recorded prefix equal the full series' bit for bit."""
+
+    @staticmethod
+    def _result(times, wave_in, wave_out):
+        voltages = np.stack([wave_in, wave_out], axis=-1)
+        return TransientResult(times=times, voltages=voltages,
+                               node_index={"in": 0, "out": 1})
+
+    @given(waves=_waveforms(), input_edge=st.sampled_from(["rise", "fall"]),
+           inverting=st.booleans())
+    # Like the NAND2 pulse: the input lands on the threshold at a segment
+    # end, and the output crossing of that same segment is not eligible.
+    @example(waves=(np.arange(4.0), np.array([0.0, 0.5, 1.0, 1.0]),
+                    np.array([1.0, 0.2, 0.8, 0.2])),
+             input_edge="rise", inverting=True)
+    # Both outputs fall before sample 1's input rises.
+    @example(waves=(np.arange(4.0),
+                    np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 1.0]]),
+                    np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])),
+             input_edge="rise", inverting=True)
+    # Both inputs rise; sample 1's output falls a step after sample 0's.
+    @example(waves=(np.arange(4.0),
+                    np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 1.0], [1.0, 1.0]]),
+                    np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])),
+             input_edge="rise", inverting=True)
+    @settings(max_examples=400, deadline=None)
+    def test_stopped_prefix_delays_equal_full_series(self, waves, input_edge,
+                                                     inverting):
+        times, wave_in, wave_out = waves
+        circuit = Circuit()
+        circuit.add_resistor("in", "out", 1e3)
+        full = self._result(times, wave_in, wave_out)
+        watch = DelayWatch(circuit, "in", "out", 1.0, input_edge, inverting)
+        watch(times[0], full.voltages[0])      # transient ignores this one
+        stop = next((k for k in range(1, times.size)
+                     if watch(times[k], full.voltages[k])), None)
+        if stop is None:
+            return
+        prefix = self._result(times[:stop + 1], wave_in[:stop + 1],
+                              wave_out[:stop + 1])
+        want = propagation_delay(full, "in", "out", 1.0, input_edge, inverting)
+        got = propagation_delay(prefix, "in", "out", 1.0, input_edge,
+                                inverting)
+        for field in ("t_in", "t_out", "delay"):
+            assert (getattr(got, field).tobytes()
+                    == getattr(want, field).tobytes()), field
+
+    def test_rejects_unknown_edge(self):
+        circuit = Circuit()
+        circuit.add_resistor("in", "out", 1e3)
+        with pytest.raises(ValueError):
+            DelayWatch(circuit, "in", "out", 1.0, "sideways")
 
 
 class TestBisection:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.cells.nand as nand_module
 from repro.cells import (
     DFFSpec,
     InverterSpec,
@@ -17,6 +18,8 @@ from repro.cells import (
     nand2_delays,
     sram_snm,
 )
+from repro.experiments.fig7_nand2_vdd import Nand2DelayWork
+from repro.experiments.ssta_low_vdd import ArcDelayWork
 
 VDD = 0.9
 
@@ -80,6 +83,50 @@ class TestNand2:
         assert delays[0] < delays[1] < delays[2]
         # Fig. 7: roughly 3-4x slower at 0.55 V than at 0.9 V.
         assert delays[2] / delays[0] > 2.0
+
+    @pytest.mark.parametrize("kind", ["mc16", "nominal"])
+    @pytest.mark.parametrize("vdd", [0.9, 0.7, 0.55])
+    @pytest.mark.parametrize("model", ["vs", "bsim"])
+    def test_tphl_works_stop_early_with_full_window_delays(
+            self, technology_module, monkeypatch, model, vdd, kind):
+        # fig7's and SSTA's works stop the transient once every sample's
+        # tpHL is settled; the delays equal the full window's bit for bit.
+        def fresh_factory():
+            if kind == "mc16":
+                return MonteCarloDeviceFactory(technology_module, 16,
+                                               model=model, seed=61)
+            return NominalDeviceFactory(technology_module, model)
+
+        points = []
+        run_transient = nand_module.transient
+
+        def counting_transient(*args, **kwargs):
+            result = run_transient(*args, **kwargs)
+            points.append(result.times.size)
+            return result
+
+        monkeypatch.setattr(nand_module, "transient", counting_transient)
+        full = nand2_delays(fresh_factory(), Nand2Spec(), vdd)["tphl"].delay
+        for work in (Nand2DelayWork(Nand2Spec(), vdd),
+                     ArcDelayWork(Nand2Spec(), vdd)):
+            payload = work(fresh_factory())
+            assert payload.shape == full.shape
+            assert payload.tobytes() == full.tobytes()
+        assert np.isfinite(full).all()
+        assert points[1] == points[2] < points[0]
+
+    @pytest.mark.parametrize("arcs", [("tphl", "tpxx"), (), "tphl"])
+    def test_rejects_unknown_arcs(self, nominal_vs, arcs):
+        with pytest.raises(ValueError, match="arcs"):
+            nand2_delays(nominal_vs, Nand2Spec(), VDD, arcs=arcs)
+
+    def test_returns_the_requested_arcs(self, nominal_vs):
+        both = nand2_delays(nominal_vs, Nand2Spec(), VDD)
+        assert list(both) == ["tphl", "tplh"]
+        tplh = nand2_delays(nominal_vs, Nand2Spec(), VDD, arcs=("tplh",))
+        assert list(tplh) == ["tplh"]
+        assert (tplh["tplh"].delay.tobytes()
+                == both["tplh"].delay.tobytes())
 
 
 class TestDFF:

@@ -165,3 +165,75 @@ class TestInverterTransient:
         res2 = transient(ckt2, t_stop=150e-12, dt=0.5e-12, record_every=2)
         n = min(res1.times.size, res2.times.size)
         np.testing.assert_allclose(res1["out"][:n], res2["out"][:n], atol=5e-3)
+
+
+class _StopAt:
+    """``until`` test that returns True from its *n*-th call on (the
+    initial point is call 0) and logs every call."""
+
+    def __init__(self, n):
+        self.n = n
+        self.calls = []
+
+    def __call__(self, t, nodes):
+        self.calls.append((t, nodes.copy(), nodes.flags.writeable))
+        return len(self.calls) > self.n
+
+
+class TestUntil:
+    """``transient(until=...)`` ends a run early on a stop test."""
+
+    @pytest.mark.parametrize("record_every", [1, 3])
+    @pytest.mark.parametrize("method", ["trap", "be"])
+    @pytest.mark.parametrize("backend", ["compiled", "generic"])
+    def test_prefix_equals_full_run_bitwise(self, backend, method,
+                                            record_every):
+        def run(until=None):
+            ckt = build_inverter_tran(batch_vt0=np.array([0.38, 0.46]))
+            ckt.set_backend(backend)
+            return transient(ckt, t_stop=100e-12, dt=1e-12, method=method,
+                             record_every=record_every, until=until)
+
+        full = run()
+        for n in (1, 7, full.times.size - 2, full.times.size - 1):
+            stopped = run(_StopAt(n))
+            assert stopped.times.size == n + 1
+            assert stopped.times.tobytes() == full.times[:n + 1].tobytes()
+            assert (stopped.voltages.tobytes()
+                    == full.voltages[:n + 1].tobytes())
+        assert (run(_StopAt(full.times.size)).voltages.tobytes()
+                == full.voltages.tobytes())
+
+    def test_called_at_every_recorded_point_with_node_voltages(self):
+        ckt = build_inverter_tran(batch_vt0=np.array([0.38, 0.46]))
+        until = _StopAt(4)
+        result = transient(ckt, t_stop=100e-12, dt=1e-12, record_every=3,
+                           until=until)
+        # The stopping step (call 4, step 12) is recorded.
+        assert [t for t, _, _ in until.calls] == list(result.times)
+        assert result.times[-1] == pytest.approx(12e-12)
+        for k, (_, nodes, writeable) in enumerate(until.calls):
+            assert nodes.shape == (2, ckt.n_nodes)
+            assert not writeable
+            assert (nodes.tobytes()
+                    == result.voltages[k][..., :ckt.n_nodes].tobytes())
+
+    def test_true_at_the_initial_point_does_not_stop(self):
+        until = _StopAt(0)
+        result = transient(build_inverter_tran(), t_stop=100e-12, dt=1e-12,
+                           until=until)
+        assert len(until.calls) == 2
+        np.testing.assert_array_equal(result.times, [0.0, 1e-12])
+
+    @pytest.mark.parametrize("until", [True, "stop", 1])
+    def test_rejects_non_callable_before_the_dc_solve(self, until,
+                                                      monkeypatch):
+        solves = []
+        monkeypatch.setattr(
+            importlib.import_module("repro.circuit.transient"),
+            "dc_operating_point", lambda *args, **kwargs: solves.append(1),
+        )
+        with pytest.raises(TypeError, match="until"):
+            transient(build_inverter_tran(), t_stop=1e-9, dt=1e-11,
+                      until=until)
+        assert not solves

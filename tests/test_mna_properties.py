@@ -682,6 +682,15 @@ class TestSourceElimination:
         assert len(cores) == len(iterations) + 1
         assert len(value_only) == 1
 
+        # A run stopped by ``until`` closes its last step the same way.
+        del cores[:], iterations[:], value_only[:]
+        result = _solve(circuit, "compiled",
+                        lambda c: transient(c, 24e-12, 2e-12, v0=v_dc,
+                                            until=lambda t, nodes: t > 9e-12))
+        assert len(result.times) - 1 == 5
+        assert len(cores) == len(iterations) + 1
+        assert len(value_only) == 1
+
     @pytest.mark.parametrize("analysis", ["dc", "transient"])
     def test_kcl_uses_the_gmin_each_sample_converged_at(self, analysis):
         # Sample 0 converges in the plain pass at gmin = 1e-6.  Sample
